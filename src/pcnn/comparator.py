@@ -16,9 +16,6 @@ import numpy as np
 from . import numkernel as nk
 from .pairsampler import POSITIVE
 
-MLP_WIDTHS = (512, 32, 2, 1)
-
-
 class TrainingError(RuntimeError):
     pass
 
@@ -237,15 +234,32 @@ def metrics_from_scores(scores, labels, threshold=0.5):
     )
 
 
-def score_pairset(model, store, pairset, batch_size=256):
-    q_split = pairset.split
-    scores = np.empty(len(pairset.pairs))
-    for start in range(0, len(pairset.pairs), batch_size):
-        chunk = pairset.pairs[start : start + batch_size]
-        g1 = np.stack([store.grid(q_split, p.query_id) for p in chunk])
-        g2 = np.stack([store.grid("train", p.neighbor_id) for p in chunk])
-        scores[start : start + len(chunk)] = model.score_pairs(g1, g2)
+def score_in_batches(model, n, pair_grids, batch_size=256):
+    """Eval-mode scores of n pairs, `batch_size` pairs per forward pass.
+
+    pair_grids(sl) returns the (grids1, grids2) arrays of the pairs in slice
+    sl, so callers gather one batch at a time rather than the whole set.
+    """
+    scores = np.empty(n)
+    for start in range(0, n, batch_size):
+        sl = slice(start, start + batch_size)
+        scores[sl] = model.score_pairs(*pair_grids(sl))
     return scores
+
+
+def pairset_rows(store, pairset):
+    """Store rows of each pair's query and neighbour grids."""
+    rows1 = store.rows(pairset.split, [p.query_id for p in pairset.pairs])
+    rows2 = store.rows("train", [p.neighbor_id for p in pairset.pairs])
+    return rows1, rows2
+
+
+def score_pairset(model, store, pairset, batch_size=256):
+    rows1, rows2 = pairset_rows(store, pairset)
+    grids1, grids2 = store.grids(pairset.split), store.grids("train")
+    return score_in_batches(
+        model, len(rows1), lambda sl: (grids1[rows1[sl]], grids2[rows2[sl]]), batch_size
+    )
 
 
 def evaluate_binary(model, store, pairset, threshold=0.5, batch_size=256):
@@ -309,9 +323,8 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
     velocity = {name: np.zeros_like(t.data) for name, t in params}
 
     n = len(train_pairs.pairs)
-    q_split = train_pairs.split
-    g1_all = np.stack([store.grid(q_split, p.query_id) for p in train_pairs.pairs])
-    g2_all = np.stack([store.grid("train", p.neighbor_id) for p in train_pairs.pairs])
+    rows1, rows2 = pairset_rows(store, train_pairs)
+    grids1, grids2 = store.grids(train_pairs.split), store.grids("train")
     labels_all = np.array([p.label for p in train_pairs.pairs], dtype=np.float64)
 
     batches_per_epoch = math.ceil(n / cfg.batch_size)
@@ -327,7 +340,7 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
             idx = perm[start : start + cfg.batch_size]
             if len(idx) < 2:  # batch norm cannot take a single sample
                 continue
-            g1, g2, y = g1_all[idx], g2_all[idx], labels_all[idx]
+            g1, g2, y = grids1[rows1[idx]], grids2[rows2[idx]], labels_all[idx]
             if model.cfg.jitter_sigma > 0:
                 g1 = g1 + rng.normal(0, model.cfg.jitter_sigma, size=g1.shape)
                 g2 = g2 + rng.normal(0, model.cfg.jitter_sigma, size=g2.shape)

@@ -61,14 +61,6 @@ class DatasetManifest:
         )
 
 
-@dataclass
-class EmbeddingRecord:
-    record_id: int
-    class_id: int
-    split: str
-    grid: np.ndarray  # (T, D) float64 view
-
-
 def payload_checksum(payload):
     return hashlib.sha256(payload).hexdigest()
 
@@ -111,10 +103,11 @@ class EmbeddingStore:
     def grids(self, split):
         return self._grids[split]
 
-    def get(self, split, record_id):
-        i = self._by_id[split][record_id]
-        rid, cid = self.manifest.records[split][i]
-        return EmbeddingRecord(rid, cid, split, self._grids[split][i])
+    def rows(self, split, record_ids):
+        """Row of each record id in `grids(split)`, as an index array."""
+        idx = self._by_id[split]
+        return np.fromiter((idx[rid] for rid in record_ids), dtype=np.intp,
+                           count=len(record_ids))
 
     def pooled(self, split, record_id):
         return self.grid(split, record_id).mean(axis=0)

@@ -116,11 +116,14 @@ def _make(data, parents, backward_fn):
 
 
 def _accum(t, g):
+    """Add g into t.grad out of place; the first gradient is taken as is.
+
+    A grad may therefore alias another node's grad or a view of it, so no
+    code may update a .grad in place.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -136,10 +139,7 @@ def _unbroadcast(g, shape):
 
 def backward(tape, loss):
     """Reverse-replay the tape, accumulating grads into requiring tensors."""
-    if loss._backward is None and loss not in tape.nodes:
-        raise TapeError("loss was not produced under this tape")
-    found = any(n is loss for n in tape.nodes)
-    if not found:
+    if not any(n is loss for n in tape.nodes):
         raise TapeError("loss was not produced under this tape")
     if loss.data.shape != ():
         raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -207,14 +207,24 @@ def matmul(a, b):
             raise ShapeError(
                 f"matmul: batch dims differ, {a.data.shape} @ {b.data.shape}"
             )
-    out_data = a.data @ b.data
+    if stacked_weight:
+        # one 2-D GEMM instead of a batch of small ones
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+    else:
+        out_data = a.data @ b.data
 
     def back(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
         if stacked_weight:
-            i = a.data.shape[-1]
-            _accum(b, a.data.reshape(-1, i).T @ g.reshape(-1, g.shape[-1]))
-        else:
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accum(b, a2.T @ g2)
+            return
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
             _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(out_data, (a, b), back)
@@ -386,13 +396,27 @@ def bce_with_logits(o, y):
 
 
 def linear(x, w, b):
-    """y = x @ w + b over the trailing feature axis."""
+    """y = x @ w + b over the trailing feature axis; one GEMM, one tape node."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear: input {x.data.shape} does not match weight {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear: bias {b.data.shape} does not match weight {w.data.shape}")
-    return add(matmul(x, w), b)
+    x2 = x.data.reshape(-1, w.data.shape[0])
+    out2 = x2 @ w.data
+    out2 += b.data
+    out_data = out2.reshape(x.data.shape[:-1] + b.data.shape)
+
+    def back(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, x2.T @ g2)
+        if b.requires_grad:
+            _accum(b, g2.sum(axis=0))
+
+    return _make(out_data, (x, w, b), back)
 
 
 class BatchNormParams:
@@ -408,29 +432,54 @@ class BatchNormParams:
 
 
 def batchnorm(x, params, mode):
-    """Normalize (B, F) over the batch axis. Biased variance throughout."""
+    """Normalize (B, F) over the batch axis. Biased variance throughout.
+
+    One tape node per call; train mode back-propagates through the batch
+    statistics, eval mode treats the running statistics as constants.
+    """
     x = _as_tensor(x)
-    if x.data.ndim != 2 or x.data.shape[1] != params.gamma.data.shape[0]:
+    gamma, beta = params.gamma, params.beta
+    if x.data.ndim != 2 or x.data.shape[1] != gamma.data.shape[0]:
         raise ShapeError(
-            f"batchnorm: input {x.data.shape} vs feature width {params.gamma.data.shape[0]}"
+            f"batchnorm: input {x.data.shape} vs feature width {gamma.data.shape[0]}"
         )
     if mode == "train":
         if x.data.shape[0] < 2:
             raise DegenerateBatchError("batchnorm needs batch size >= 2 in train mode")
-        mu = mean_axis(x, 0)
-        xc = sub(x, mu)
-        var = mean_axis(mul(xc, xc), 0)
-        inv = pow_scalar(add(var, params.eps), -0.5)
-        xhat = mul(xc, inv)
+        mu = x.data.mean(axis=0)
+        xc = x.data - mu
+        var = (xc * xc).mean(axis=0)
+        inv = (var + params.eps) ** -0.5
         m = params.momentum
-        params.running_mean = (1 - m) * params.running_mean + m * mu.data
-        params.running_var = (1 - m) * params.running_var + m * var.data
+        params.running_mean = (1 - m) * params.running_mean + m * mu
+        params.running_var = (1 - m) * params.running_var + m * var
     elif mode == "eval":
         inv = 1.0 / np.sqrt(params.running_var + params.eps)
-        xhat = mul(sub(x, params.running_mean), inv)
+        xc = x.data - params.running_mean
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
-    return add(mul(xhat, params.gamma), params.beta)
+    xhat = xc * inv
+    out_data = xhat * gamma.data + beta.data
+
+    def back(g):
+        if gamma.requires_grad:
+            _accum(gamma, (g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, g.sum(axis=0))
+        if not x.requires_grad:
+            return
+        dxhat = g * gamma.data
+        if mode == "eval":
+            _accum(x, dxhat * inv)
+            return
+        n = x.data.shape[0]
+        _accum(
+            x,
+            (inv / n)
+            * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)),
+        )
+
+    return _make(out_data, (x, gamma, beta), back)
 
 
 class AttentionParams:
@@ -461,8 +510,29 @@ def _merge_heads(x):
 
 
 def _attend(q, k, v, scale):
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
-    return matmul(softmax(scores), v)
+    """softmax(q @ k^T * scale) @ v over (B, H, S|T, dh) heads; one tape node.
+
+    The backward goes through the softmax Jacobian in closed form, so the
+    (B, H, S, T) probabilities are the only intermediate kept.
+    """
+    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out_data = probs @ v.data
+
+    def back(g):
+        if v.requires_grad:
+            _accum(v, np.swapaxes(probs, -1, -2) @ g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dp = g @ np.swapaxes(v.data, -1, -2)
+        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            _accum(q, ds @ k.data)
+        if k.requires_grad:
+            _accum(k, np.swapaxes(ds, -1, -2) @ q.data)
+
+    return _make(out_data, (q, k, v), back)
 
 
 def mhsa(x, params, heads):

@@ -7,14 +7,12 @@ either by probability x score (soft, product of experts) or by score alone
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .classifier import top_q
-from .nnindex import InsufficientCandidatesError
-
-SKIPPED = None  # marker for below-floor classes in the trace
+from .comparator import score_in_batches
 
 
 @dataclass
@@ -80,13 +78,9 @@ class ModelScorer:
         self.batch_size = batch_size
 
     def score(self, grids1, grids2, meta=None):
-        out = np.empty(len(grids1))
-        for start in range(0, len(grids1), self.batch_size):
-            out[start : start + self.batch_size] = self.model.score_pairs(
-                grids1[start : start + self.batch_size],
-                grids2[start : start + self.batch_size],
-            )
-        return out
+        return score_in_batches(
+            self.model, len(grids1), lambda sl: (grids1[sl], grids2[sl]), self.batch_size
+        )
 
 
 class OracleScorer:
@@ -138,59 +132,50 @@ def _candidates(store, index, query_split, qid, probs, cfg):
     return entries
 
 
-def _finalize(entries, scores_by_pair, store, qid, cfg):
-    count = 0
+def _finalize(qid, entries, mode):
+    """Final score of every scored entry and the re-ranked prediction."""
     for e in entries:
-        if not e.neighbor_ids:
-            continue
-        vals = [scores_by_pair[(qid, nid, e.class_id)] for nid in e.neighbor_ids]
-        count += len(vals)
-        e.s_score = float(np.mean(vals))
-        e.final = e.prob * e.s_score if cfg.mode == "soft" else e.s_score
+        if e.s_score is not None:
+            e.final = e.prob * e.s_score if mode == "soft" else e.s_score
     # argmax with tie-break: final, then original C probability, then low id
     best = max(entries, key=lambda e: (e.final, e.prob, -e.class_id))
+    count = sum(len(e.neighbor_ids) for e in entries)
     return RankedResult(qid, entries, best.class_id, count)
+
+
+def _rerank_queries(store, output, index, scorer, cfg, qids, query_split):
+    """Re-rank the given queries; one batched comparator pass over all pairs."""
+    per_query = [
+        (qid, _candidates(store, index, query_split, qid, output.row(qid), cfg))
+        for qid in qids
+    ]
+    pairs = [
+        (qid, nid) for qid, entries in per_query for e in entries for nid in e.neighbor_ids
+    ]
+    if pairs:
+        g1 = store.grids(query_split)[store.rows(query_split, [q for q, _ in pairs])]
+        g2 = store.grids("train")[store.rows("train", [n for _, n in pairs])]
+        scores = scorer.score(g1, g2, pairs)
+        start = 0
+        for _, entries in per_query:
+            for e in entries:
+                if e.neighbor_ids:
+                    stop = start + len(e.neighbor_ids)
+                    e.s_score = float(np.mean(scores[start:stop]))
+                    start = stop
+    return [_finalize(qid, entries, cfg.mode) for qid, entries in per_query]
 
 
 def rerank_split(store, output, index, scorer, cfg, query_split="test"):
     """Re-rank every query of a split; one batched comparator pass."""
-    per_query = {}
-    pair_meta = []
-    g1, g2 = [], []
-    for qid in store.ids(query_split):
-        entries = _candidates(store, index, query_split, qid, output.row(qid), cfg)
-        per_query[qid] = entries
-        for e in entries:
-            for nid in e.neighbor_ids:
-                pair_meta.append((qid, nid, e.class_id))
-                g1.append(store.grid(query_split, qid))
-                g2.append(store.grid("train", nid))
-    scores_by_pair = {}
-    if pair_meta:
-        scores = scorer.score(
-            np.stack(g1), np.stack(g2), [(q, n) for q, n, _ in pair_meta]
-        )
-        scores_by_pair = {m: float(s) for m, s in zip(pair_meta, scores)}
-    return [
-        _finalize(per_query[qid], scores_by_pair, store, qid, cfg)
-        for qid in store.ids(query_split)
-    ]
+    return _rerank_queries(
+        store, output, index, scorer, cfg, store.ids(query_split), query_split
+    )
 
 
 def rerank(store, output, index, scorer, cfg, qid, query_split="test"):
     """Single-query re-ranking (same semantics as rerank_split)."""
-    entries = _candidates(store, index, query_split, qid, output.row(qid), cfg)
-    scores_by_pair = {}
-    meta, g1, g2 = [], [], []
-    for e in entries:
-        for nid in e.neighbor_ids:
-            meta.append((qid, nid, e.class_id))
-            g1.append(store.grid(query_split, qid))
-            g2.append(store.grid("train", nid))
-    if meta:
-        scores = scorer.score(np.stack(g1), np.stack(g2), [(q, n) for q, n, _ in meta])
-        scores_by_pair = {m: float(s) for m, s in zip(meta, scores)}
-    return _finalize(entries, scores_by_pair, store, qid, cfg)
+    return _rerank_queries(store, output, index, scorer, cfg, [qid], query_split)[0]
 
 
 @dataclass
@@ -207,9 +192,11 @@ def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
     """Top-1 accuracy of C alone, C->S (hard), and C x S (soft)."""
     labels = {rid: store.class_of(query_split, rid) for rid in store.ids(query_split)}
     soft_cfg = RerankConfig(cfg.k, cfg.n_neighbors, "soft", cfg.prob_floor)
-    hard_cfg = RerankConfig(cfg.k, cfg.n_neighbors, "hard", cfg.prob_floor)
     soft = rerank_split(store, output, index, scorer, soft_cfg, query_split)
-    hard = rerank_split(store, output, index, scorer, hard_cfg, query_split)
+    # hard mode re-ranks the same candidates by the same s scores
+    hard = [
+        _finalize(r.query_id, [replace(e) for e in r.entries], "hard") for r in soft
+    ]
     n = len(soft)
     acc_c = np.mean(
         [int(np.argmax(output.row(rid)) == labels[rid]) for rid in store.ids(query_split)]
@@ -274,11 +261,7 @@ def sanity_suite(model, store, query_split="test", seed=0, batch=64):
     lo, hi = float(grids.min()), float(grids.max())
 
     def rate(g2):
-        scores = np.empty(len(ids))
-        for start in range(0, len(ids), 256):
-            scores[start : start + 256] = model.score_pairs(
-                grids[start : start + 256], g2[start : start + 256]
-            )
+        scores = score_in_batches(model, len(ids), lambda sl: (grids[sl], g2[sl]))
         return float(np.mean(scores > 0.5))
 
     self_rate = rate(grids)

@@ -16,6 +16,7 @@ from pcnn.comparator import (
     metrics_from_scores,
     one_cycle_lr,
     save_checkpoint,
+    score_pairset,
     train,
 )
 from pcnn.nnindex import ClassIndex
@@ -182,6 +183,18 @@ class TestTraining:
         assert runs[0][1] == runs[1][1]
         for k in runs[0][0]:
             np.testing.assert_array_equal(runs[0][0][k], runs[1][0][k])
+
+    def test_pairset_scores_independent_of_batch_size(self, tiny_task):
+        store, _, eval_pairs = tiny_task
+        model = ComparatorModel(small_cfg(), seed=3)
+        model.mlp_w[3].data = np.random.default_rng(5).normal(size=model.mlp_w[3].data.shape)
+        whole = score_pairset(model, store, eval_pairs, batch_size=len(eval_pairs.pairs))
+        small = score_pairset(model, store, eval_pairs, batch_size=5)
+        np.testing.assert_allclose(small, whole, atol=1e-12)
+        p = eval_pairs.pairs[0]
+        one = model.score_pairs(store.grid("test", p.query_id)[None],
+                                store.grid("train", p.neighbor_id)[None])
+        assert small[0] == pytest.approx(one[0], abs=1e-12)
 
     def test_selected_epoch_has_max_f1(self, tiny_task):
         store, train_pairs, eval_pairs = tiny_task

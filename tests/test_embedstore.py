@@ -23,6 +23,18 @@ def test_roundtrip_bitwise(small_store, tmp_path):
     np.testing.assert_array_equal(loaded.grids("train"), store.grids("train"))
 
 
+def test_rows_index_grids(small_store):
+    store, _ = small_store
+    ids = store.ids("test")[::-2]
+    rows = store.rows("test", ids)
+    assert rows.dtype == np.intp
+    for rid, row in zip(ids, rows):
+        np.testing.assert_array_equal(store.grids("test")[row], store.grid("test", rid))
+    assert store.rows("train", []).shape == (0,)
+    with pytest.raises(KeyError):
+        store.rows("train", [10**6])
+
+
 def test_cub_shaped_manifest_accepted():
     # 200 classes, 5,994 train / 5,794 test records (tiny grids to keep it fast)
     t, d = 1, 2

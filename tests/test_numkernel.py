@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcnn import numkernel as nk
+from pcnn.comparator import ComparatorConfig, ComparatorModel
 
 
 def fd_grad(f, x, h=1e-5):
@@ -61,6 +62,23 @@ class TestLinear:
         w = nk.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = nk.Tensor(rng.normal(size=5), requires_grad=True)
         check_param_grads(lambda: nk.sum_all(nk.linear(x, w, b)), [w, b], tol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)])
+    def test_input_grad_matches_finite_differences(self, shape):
+        rng = np.random.default_rng(20)
+        x = nk.Tensor(rng.normal(size=shape), requires_grad=True)
+        w = nk.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = nk.Tensor(rng.normal(size=5), requires_grad=True)
+        target = nk.Tensor(rng.normal(size=shape[:-1] + (5,)))
+        check_param_grads(
+            lambda: nk.sum_all(nk.mul(nk.linear(x, w, b), target)), [x, w, b], tol=1e-6
+        )
+
+    def test_3d_forward_matches_composed(self):
+        rng = np.random.default_rng(21)
+        x, w, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        y = nk.linear(nk.Tensor(x), nk.Tensor(w), nk.Tensor(b))
+        np.testing.assert_allclose(y.data, x @ w + b, rtol=1e-12, atol=1e-12)
 
 
 class TestGelu:
@@ -124,6 +142,45 @@ class TestBatchnorm:
             [x, params.gamma, params.beta],
             tol=1e-5,
         )
+
+    def _random_params(self, rng, f=3):
+        params = nk.BatchNormParams(f)
+        params.gamma.data = rng.normal(size=f)
+        params.beta.data = rng.normal(size=f)
+        params.running_mean = rng.normal(size=f)
+        params.running_var = rng.uniform(0.5, 2.0, size=f)
+        return params
+
+    def test_eval_grad(self):
+        rng = np.random.default_rng(22)
+        params = self._random_params(rng)
+        x = nk.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        target = nk.Tensor(rng.normal(size=(6, 3)))
+        check_param_grads(
+            lambda: nk.sum_all(nk.mul(nk.batchnorm(x, params, "eval"), target)),
+            [x, params.gamma, params.beta],
+            tol=1e-5,
+        )
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_matches_unfused_formula(self, mode):
+        rng = np.random.default_rng(23)
+        params = self._random_params(rng)
+        rm, rv = params.running_mean.copy(), params.running_var.copy()
+        x = rng.normal(size=(7, 3))
+        with nk.Tape():
+            y = nk.batchnorm(nk.Tensor(x, requires_grad=True), params, mode)
+        if mode == "train":
+            mu = x.mean(axis=0)
+            var = ((x - mu) ** 2).mean(axis=0)
+            np.testing.assert_allclose(params.running_mean, 0.9 * rm + 0.1 * mu, rtol=1e-14)
+            np.testing.assert_allclose(params.running_var, 0.9 * rv + 0.1 * var, rtol=1e-14)
+        else:
+            mu, var = rm, rv
+            np.testing.assert_array_equal(params.running_mean, rm)
+            np.testing.assert_array_equal(params.running_var, rv)
+        expected = (x - mu) / np.sqrt(var + params.eps) * params.gamma.data + params.beta.data
+        np.testing.assert_allclose(y.data, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestMhsa:
@@ -212,6 +269,83 @@ class TestCrossAttention:
             return nk.sum_all(nk.add(nk.mul(z1, nk.Tensor(t1)), nk.mul(z2, nk.Tensor(t2))))
 
         check_param_grads(loss, p.tensors(), tol=1e-5)
+
+
+class TestAttentionCore:
+    @pytest.mark.parametrize("s,t", [(3, 5), (1, 4)])  # 1 x T: cross-attention's CLS query
+    def test_grads_match_finite_differences(self, s, t):
+        rng = np.random.default_rng(25)
+        q = nk.Tensor(rng.normal(size=(2, 2, s, 3)), requires_grad=True)
+        k = nk.Tensor(rng.normal(size=(2, 2, t, 3)), requires_grad=True)
+        v = nk.Tensor(rng.normal(size=(2, 2, t, 3)), requires_grad=True)
+        target = nk.Tensor(rng.normal(size=(2, 2, s, 3)))
+        check_param_grads(
+            lambda: nk.sum_all(nk.mul(nk._attend(q, k, v, 0.7), target)), [q, k, v], tol=1e-5
+        )
+
+    def test_matches_composed_softmax(self):
+        rng = np.random.default_rng(26)
+        q, k, v = (rng.normal(size=(2, 3, n, 4)) for n in (2, 5, 5))
+        out = nk._attend(nk.Tensor(q), nk.Tensor(k), nk.Tensor(v), 0.5)
+        scores = q @ np.swapaxes(k, -1, -2) * 0.5
+        probs = np.exp(scores) / np.exp(scores).sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(out.data, probs @ v, rtol=1e-12, atol=1e-12)
+
+
+class TestCopyFreeAccumulation:
+    def test_add_same_input_twice(self):
+        x = nk.Tensor(np.random.default_rng(27).normal(size=(2, 3)), requires_grad=True)
+        check_param_grads(lambda: nk.sum_all(nk.mul(nk.add(x, x), nk.add(x, x))), [x])
+        with nk.Tape() as tape:
+            loss = nk.sum_all(nk.add(x, x))
+        x.grad = None
+        nk.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+    def test_residual_gradient_reaching_two_inputs(self):
+        # z = y + x with y = x + gelu(x W): z's upstream gradient is handed to
+        # y and x as the same array, and x collects two more terms afterwards
+        rng = np.random.default_rng(28)
+        x = nk.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = nk.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        target = nk.Tensor(rng.normal(size=(3, 4)))
+
+        def loss():
+            y = nk.add(x, nk.gelu(nk.matmul(x, w)))
+            return nk.sum_all(nk.mul(nk.add(y, x), target))
+
+        check_param_grads(loss, [x, w], tol=1e-6)
+
+
+def _default_step(model, rng, batch=4):
+    cfg = model.cfg
+    g1 = rng.normal(size=(batch, cfg.tokens, cfg.depth))
+    g2 = rng.normal(size=(batch, cfg.tokens, cfg.depth))
+    y = np.array([1.0, 0.0] * (batch // 2))
+    with nk.Tape() as tape:
+        loss = nk.bce_with_logits(model.forward_logits(g1, g2, mode="train"), y)
+    for _, t in model.parameters():
+        t.grad = None
+    nk.backward(tape, loss)
+    return tape
+
+
+class TestTrainingStep:
+    def test_tape_nodes_per_default_step(self):
+        # default comparator at the synthetic default shape (D=64, T=4)
+        model = ComparatorModel(ComparatorConfig(depth=64, tokens=4), seed=0)
+        tape = _default_step(model, np.random.default_rng(29))
+        assert len(tape.nodes) == 83
+
+    def test_identical_steps_give_bitwise_equal_grads(self):
+        model = ComparatorModel(ComparatorConfig(depth=16, tokens=3, heads=4), seed=1)
+        model.mlp_w[3].data = np.random.default_rng(30).normal(size=model.mlp_w[3].data.shape)
+        grads = []
+        for _ in range(2):
+            _default_step(model, np.random.default_rng(31), batch=6)
+            grads.append({name: t.grad.copy() for name, t in model.parameters()})
+        for name in grads[0]:
+            np.testing.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
 
 
 class TestBce:

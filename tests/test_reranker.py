@@ -166,6 +166,25 @@ class TestEvaluate:
         assert 0 <= report.accuracy_soft <= 1
         assert len(report.results_soft) == store.size("test")
 
+    @pytest.mark.parametrize("floor", [0.0, 0.15])
+    def test_one_pass_matches_separate_modes(self, world, tmp_path, floor):
+        # soft and hard come from one scoring pass; each must serialize byte
+        # for byte like its own rerank_split, with entries not shared
+        store, index, out = world
+        model = ComparatorModel(ComparatorConfig(depth=5, tokens=3, heads=1), seed=0)
+        model.mlp_w[3].data = np.random.default_rng(4).normal(size=model.mlp_w[3].data.shape)
+        scorer = ModelScorer(model, batch_size=7)
+        cfg = RerankConfig(k=3, n_neighbors=2, prob_floor=floor)
+        report = evaluate_rerank(store, out, index, scorer, cfg)
+        for mode, results in (("soft", report.results_soft), ("hard", report.results_hard)):
+            alone = rerank_split(store, out, index, scorer,
+                                 RerankConfig(3, 2, mode, floor))
+            save_results(results, tmp_path / "one.jsonl")
+            save_results(alone, tmp_path / "alone.jsonl")
+            assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+        for r_soft, r_hard in zip(report.results_soft, report.results_hard):
+            assert all(a is not b for a, b in zip(r_soft.entries, r_hard.entries))
+
     def test_save_results_jsonl(self, world, tmp_path):
         store, index, out = world
         results = rerank_split(
