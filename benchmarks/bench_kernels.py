@@ -1,7 +1,4 @@
-"""Benchmark the numba distance kernels against the pure-numpy fallback.
-
-The active backend is chosen at import time from PCNN_DISABLE_NUMBA, so this
-script times both implementations directly rather than flipping the flag.
+"""Time the squared-L2 distance kernels.
 
 Usage: python benchmarks/bench_kernels.py [--queries N] [--base N] [--depth D]
 """
@@ -38,29 +35,16 @@ def main():
     base = np.ascontiguousarray(rng.normal(size=(args.base, args.depth)))
     one = np.ascontiguousarray(queries[0])
 
-    pairs = [
-        ("sqdist_one", kernels._numpy_sqdist_one, (one, base)),
-        ("sqdist_many", kernels._numpy_sqdist_many, (queries, base)),
-    ]
-    numba_fns = {
-        "sqdist_one": getattr(kernels, "_numba_sqdist_one", None),
-        "sqdist_many": getattr(kernels, "_numba_sqdist_many", None),
-    }
-
-    print(f"active backend: {kernels.backend_name()}")
+    print(f"backend: {kernels.backend_name()}")
     print(f"workload: {args.queries} queries x {args.base} base, depth {args.depth}")
-    header = f"{'kernel':<14} {'numpy (ms)':>12} {'numba (ms)':>12} {'speedup':>9}"
+    header = f"{'kernel':<14} {'ms':>12}"
     print(header)
     print("-" * len(header))
-    for name, np_fn, argv in pairs:
-        t_np = time_fn(np_fn, *argv, repeats=args.repeats) * 1e3
-        nb_fn = numba_fns[name]
-        if nb_fn is None:
-            print(f"{name:<14} {t_np:>12.3f} {'n/a':>12} {'n/a':>9}")
-            continue
-        np.testing.assert_allclose(np_fn(*argv), nb_fn(*argv), rtol=1e-10)
-        t_nb = time_fn(nb_fn, *argv, repeats=args.repeats) * 1e3
-        print(f"{name:<14} {t_np:>12.3f} {t_nb:>12.3f} {t_np / t_nb:>8.2f}x")
+    for name, fn, argv in (
+        ("sqdist_one", kernels.sqdist_one, (one, base)),
+        ("sqdist_many", kernels.sqdist_many, (queries, base)),
+    ):
+        print(f"{name:<14} {time_fn(fn, *argv, repeats=args.repeats) * 1e3:>12.3f}")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ binary task and the re-ranking task, run sanity checks, and write every
 artifact under the output directory.
 """
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +29,18 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextlib.contextmanager
+def _stage(name):
+    """Re-raise a failure inside the block as StageError(name); a StageError
+    from a stage read inside the block keeps its own name."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 @dataclass
@@ -75,60 +89,72 @@ def _build_data(cfg, seed):
     return store, centroids, spec
 
 
-@dataclass
 class Pipeline:
-    """Everything up to (but not including) comparator training."""
+    """One seed's stages up to (but not including) comparator training.
 
-    store: object
-    centroids: object
-    spec: object
-    index: object
-    sampler_cfg: object
-    classifier: object
-    out_train: object
-    out_test: object
-    train_pairs: object
-    eval_pairs: object
+    The data stage (`store`, `centroids`, `spec`) loads at construction;
+    `index`, `classifier`, `out_train`, `out_test`, `train_pairs` and
+    `eval_pairs` are each built on first read and then kept, so a caller
+    pays only for the stages it reads. Every stage is seeded per record or
+    per query, so build order does not change any output. A stage that
+    fails raises StageError naming it and stays unbuilt.
+    """
+
+    def __init__(self, cfg, seed):
+        self.cfg, self.seed = cfg, seed
+        with _stage("data"):
+            self.store, self.centroids, self.spec = _build_data(cfg, seed)
+        self.sampler_cfg = SamplerConfig(**{**{"seed": seed}, **cfg.sampler})
+
+    @cached_property
+    def index(self):
+        with _stage("index"):
+            index = ClassIndex.build(self.store)
+            if self.cfg.subsample_fraction < 1.0:
+                index = index.subsample(self.cfg.subsample_fraction, self.seed)
+            return index
+
+    @cached_property
+    def classifier(self):
+        spec = self.spec
+        with _stage("classifier"):
+            return SyntheticClassifier(
+                self.centroids, tau=spec.tau, corruption_rate=spec.corruption_rate,
+                corruption_q=spec.corruption_q, seed=self.seed,
+            )
+
+    @cached_property
+    def out_train(self):
+        with _stage("classifier"):
+            return self.classifier.predict_split(self.store, "train")
+
+    @cached_property
+    def out_test(self):
+        with _stage("classifier"):
+            return self.classifier.predict_split(self.store, "test")
+
+    @cached_property
+    def train_pairs(self):
+        with _stage("sampling"):
+            return pairsampler.sample_train(
+                self.store, self.out_train, self.index, self.sampler_cfg
+            )
+
+    @cached_property
+    def eval_pairs(self):
+        with _stage("sampling"):
+            return pairsampler.sample_eval(
+                self.store, self.out_test, self.index, self.sampler_cfg
+            )
 
 
 def prepare(cfg, seed):
-    """Deterministically build data, index, classifier outputs, and pairs."""
-    try:
-        store, centroids, spec = _build_data(cfg, seed)
-    except Exception as exc:
-        raise StageError("data", exc) from exc
+    """Load the data stage of one seed; every later stage builds on first read.
 
-    try:
-        index = ClassIndex.build(store)
-        if cfg.subsample_fraction < 1.0:
-            index = index.subsample(cfg.subsample_fraction, seed)
-    except Exception as exc:
-        raise StageError("index", exc) from exc
-
-    sampler_cfg = SamplerConfig(**{**{"seed": seed}, **cfg.sampler})
-    clf = SyntheticClassifier(
-        centroids,
-        tau=spec.tau,
-        corruption_rate=spec.corruption_rate,
-        corruption_q=spec.corruption_q,
-        seed=seed,
-    )
-    try:
-        out_train = clf.predict_split(store, "train")
-        out_test = clf.predict_split(store, "test")
-    except Exception as exc:
-        raise StageError("classifier", exc) from exc
-
-    try:
-        train_pairs = pairsampler.sample_train(store, out_train, index, sampler_cfg)
-        eval_pairs = pairsampler.sample_eval(store, out_test, index, sampler_cfg)
-    except Exception as exc:
-        raise StageError("sampling", exc) from exc
-
-    return Pipeline(
-        store, centroids, spec, index, sampler_cfg, clf, out_train, out_test,
-        train_pairs, eval_pairs,
-    )
+    Raises StageError("data") at once for a bad manifest or payload; the
+    returned Pipeline raises StageError naming any later stage that fails.
+    """
+    return Pipeline(cfg, seed)
 
 
 def train_comparator(cfg, seed, pipe):
@@ -140,22 +166,20 @@ def train_comparator(cfg, seed, pipe):
     )
     train_cfg = TrainConfig(**{**{"seed": seed}, **cfg.train})
     model = ComparatorModel(comp_cfg, seed=seed)
-    try:
+    with _stage("training"):
         return comparator.train(
             model, pipe.store, pipe.train_pairs, pipe.eval_pairs, train_cfg
         )
-    except Exception as exc:
-        raise StageError("training", exc) from exc
 
 
 def run_seed(cfg, seed, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     pipe = prepare(cfg, seed)
+    model, report = train_comparator(cfg, seed, pipe)
     store, index, out_test = pipe.store, pipe.index, pipe.out_test
     train_pairs, eval_pairs = pipe.train_pairs, pipe.eval_pairs
-    model, report = train_comparator(cfg, seed, pipe)
 
-    try:
+    with _stage("evaluation"):
         binary = comparator.evaluate_binary(model, store, eval_pairs)
         rr_cfg = RerankConfig(**cfg.rerank)
         rr = reranker.evaluate_rerank(store, out_test, index, ModelScorer(model), rr_cfg)
@@ -163,8 +187,6 @@ def run_seed(cfg, seed, out_dir):
         ceiling = reranker.topq_ceiling(
             store, out_test, range(1, min(store.manifest.num_classes, 20) + 1)
         )
-    except Exception as exc:
-        raise StageError("evaluation", exc) from exc
 
     comparator.save_checkpoint(
         model,

@@ -1,23 +1,19 @@
-"""Squared-L2 distance kernels.
+"""Squared-L2 distance kernels (numpy).
 
-Numba-jitted versions are used when available; set PCNN_DISABLE_NUMBA=1 to
-force the pure-numpy path (the benchmark in benchmarks/ compares the two).
-The paths agree to floating-point rounding; the numpy many-query kernel
-uses the Gram expansion, so tiny differences from the direct form are
-expected near zero distance.
+`sqdist_one` uses the direct form, so retrieval distances and their ties are
+exact; `sqdist_many` uses the Gram expansion, so tiny differences from the
+direct form are expected near zero distance.
 """
-
-import os
 
 import numpy as np
 
 
-def _numpy_sqdist_one(query, base):
+def sqdist_one(query, base):
     diff = base - query
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _numpy_sqdist_many(queries, base):
+def sqdist_many(queries, base):
     # |q - b|^2 = |q|^2 + |b|^2 - 2 q.b; BLAS-backed, clamped against the
     # tiny negatives the cancellation can produce
     qq = np.einsum("ij,ij->i", queries, queries)
@@ -26,50 +22,5 @@ def _numpy_sqdist_many(queries, base):
     return np.maximum(out, 0.0, out=out)
 
 
-_DISABLED = os.environ.get("PCNN_DISABLE_NUMBA", "") not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _numba_sqdist_one(query, base):
-            n, d = base.shape
-            out = np.empty(n)
-            for i in range(n):
-                acc = 0.0
-                for j in range(d):
-                    diff = base[i, j] - query[j]
-                    acc += diff * diff
-                out[i] = acc
-            return out
-
-        @njit(cache=True)
-        def _numba_sqdist_many(queries, base):
-            m = queries.shape[0]
-            n = base.shape[0]
-            out = np.empty((m, n))
-            for q in range(m):
-                for i in range(n):
-                    acc = 0.0
-                    for j in range(base.shape[1]):
-                        diff = base[i, j] - queries[q, j]
-                        acc += diff * diff
-                    out[q, i] = acc
-            return out
-
-        sqdist_one = _numba_sqdist_one
-        sqdist_many = _numba_sqdist_many
-        BACKEND = "numba"
-    except ImportError:
-        sqdist_one = _numpy_sqdist_one
-        sqdist_many = _numpy_sqdist_many
-        BACKEND = "numpy"
-else:
-    sqdist_one = _numpy_sqdist_one
-    sqdist_many = _numpy_sqdist_many
-    BACKEND = "numpy"
-
-
 def backend_name():
-    return BACKEND
+    return "numpy"

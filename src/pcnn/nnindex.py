@@ -1,8 +1,9 @@
 """Exact squared-L2 nearest-neighbor index over pooled train vectors.
 
-Distances are exact squared L2 (monotone with L2); ties break by ascending
-record id. The index is immutable after build; `subsample` returns a new
-masked view.
+The pooled vectors are stored once, rows ordered by (class, record id), with
+the row bounds of each class; every query ranks one row range. Distances are
+exact squared L2 (monotone with L2); ties break by ascending record id. The
+index is immutable after build; `subsample` returns a new index.
 """
 
 import numpy as np
@@ -15,72 +16,77 @@ class InsufficientCandidatesError(ValueError):
 
 
 class ClassIndex:
-    def __init__(self, class_vectors, class_ids):
-        """class_vectors: cid -> (N, D); class_ids: cid -> sorted id array."""
-        self._vecs = class_vectors
-        self._ids = class_ids
+    def __init__(self, vectors, ids, bounds):
+        """vectors: (N, D) rows ordered by (class, id); ids: (N,) record ids;
+        bounds: class c owns rows bounds[c]:bounds[c + 1]."""
+        self._vecs = vectors
+        self._ids = ids
+        self._bounds = [int(b) for b in bounds]
 
     @staticmethod
     def build(store, split="train"):
-        vecs, ids = {}, {}
-        pooled = store.pooled_all(split)
         labels = store.labels(split)
-        all_ids = np.array(store.ids(split), dtype=np.int64)
-        for cid in range(store.manifest.num_classes):
-            mask = labels == cid
-            cid_ids = all_ids[mask]
-            order = np.argsort(cid_ids)
-            ids[cid] = cid_ids[order]
-            vecs[cid] = np.ascontiguousarray(pooled[mask][order])
-        return ClassIndex(vecs, ids)
+        ids = np.array(store.ids(split), dtype=np.int64)
+        order = np.lexsort((ids, labels))
+        counts = np.bincount(labels, minlength=store.manifest.num_classes)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        return ClassIndex(store.pooled_all(split)[order], ids[order], bounds)
 
     @property
     def classes(self):
-        return sorted(self._ids)
+        return list(range(len(self._bounds) - 1))
+
+    def _rows(self, class_id):
+        """Row range of a class; KeyError for an unknown (or negative) id."""
+        if not 0 <= class_id < len(self._bounds) - 1:
+            raise KeyError(f"unknown class id {class_id}")
+        return self._bounds[class_id], self._bounds[class_id + 1]
 
     def class_size(self, class_id):
-        return len(self._ids.get(class_id, ()))
+        try:
+            lo, hi = self._rows(class_id)
+        except KeyError:
+            return 0
+        return hi - lo
 
     def subsample(self, fraction, seed):
         """Keep ceil(fraction * size) records per class, seeded uniform."""
         if not 0 < fraction <= 1:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        vecs, ids = {}, {}
-        for cid in self._ids:
-            n = len(self._ids[cid])
+        kept, bounds = [], [0]
+        for cid in self.classes:
+            lo, hi = self._rows(cid)
+            n = hi - lo
             keep = int(np.ceil(fraction * n))
             rng = np.random.default_rng(np.random.SeedSequence([seed, cid]))
-            chosen = np.sort(rng.choice(n, size=keep, replace=False))
-            ids[cid] = self._ids[cid][chosen]
-            vecs[cid] = np.ascontiguousarray(self._vecs[cid][chosen])
-        return ClassIndex(vecs, ids)
+            kept.append(lo + np.sort(rng.choice(n, size=keep, replace=False)))
+            bounds.append(bounds[-1] + keep)
+        rows = np.concatenate(kept)
+        return ClassIndex(self._vecs[rows], self._ids[rows], bounds)
 
-    def _ranked(self, query, class_id, exclude, limit=None):
-        if class_id not in self._ids:
-            raise KeyError(f"unknown class id {class_id}")
-        ids = self._ids[class_id]
-        vecs = self._vecs[class_id]
+    def _ranked(self, query, lo, hi, exclude, limit=None):
+        """Rows lo:hi minus excluded ids by ascending (distance, id): the
+        rows, their ids and their distances."""
+        rows, ids, vecs = np.arange(lo, hi), self._ids[lo:hi], self._vecs[lo:hi]
         if exclude:
-            mask = ~np.isin(ids, list(exclude))
-            ids, vecs = ids[mask], vecs[mask]
+            keep = (~np.isin(ids, list(exclude))).nonzero()[0]
+            rows, ids, vecs = rows[keep], ids[keep], vecs[keep]
         if len(ids) == 0:
-            return ids, np.empty(0)
+            return rows, ids, np.empty(0)
         dists = kernels.sqdist_one(np.ascontiguousarray(query, dtype=np.float64), vecs)
         if limit is not None and limit < len(ids):
             # tie-safe partial selection: keep every record at or below the
             # limit-th distance, then order only the survivors
-            part = np.argpartition(dists, limit - 1)
-            thresh = dists[part[limit - 1]]
-            keep = np.flatnonzero(dists <= thresh)
-            ids, dists = ids[keep], dists[keep]
+            keep = (dists <= np.partition(dists, limit - 1)[limit - 1]).nonzero()[0]
+            rows, ids, dists = rows[keep], ids[keep], dists[keep]
         order = np.lexsort((ids, dists))
-        return ids[order], dists[order]
+        return rows[order], ids[order], dists[order]
 
     def nearest_in_class(self, query, class_id, rank=1, exclude=()):
         """n-th nearest (1-based) non-excluded record of a class."""
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        ids, dists = self._ranked(query, class_id, exclude, limit=rank)
+        _, ids, dists = self._ranked(query, *self._rows(class_id), exclude, limit=rank)
         if len(ids) < rank:
             raise InsufficientCandidatesError(
                 f"class {class_id}: need rank {rank}, only {len(ids)} candidates"
@@ -88,7 +94,7 @@ class ClassIndex:
         return int(ids[rank - 1]), float(dists[rank - 1])
 
     def nearest_k_in_class(self, query, class_id, k, exclude=()):
-        ids, dists = self._ranked(query, class_id, exclude, limit=k)
+        _, ids, dists = self._ranked(query, *self._rows(class_id), exclude, limit=k)
         if len(ids) < k:
             raise InsufficientCandidatesError(
                 f"class {class_id}: need {k} candidates, have {len(ids)}"
@@ -97,20 +103,8 @@ class ClassIndex:
 
     def topk_global(self, query, k, exclude=()):
         """Exact global top-k (ascending distance, id tie-break)."""
-        all_ids = np.concatenate([self._ids[c] for c in sorted(self._ids)])
-        all_vecs = np.concatenate([self._vecs[c] for c in sorted(self._ids)])
-        all_cls = np.concatenate(
-            [np.full(len(self._ids[c]), c, dtype=np.int64) for c in sorted(self._ids)]
-        )
-        if exclude:
-            mask = ~np.isin(all_ids, list(exclude))
-            all_ids, all_vecs, all_cls = all_ids[mask], all_vecs[mask], all_cls[mask]
-        if len(all_ids) < k:
-            raise InsufficientCandidatesError(f"need {k} candidates, have {len(all_ids)}")
-        dists = kernels.sqdist_one(
-            np.ascontiguousarray(query, dtype=np.float64), np.ascontiguousarray(all_vecs)
-        )
-        order = np.lexsort((all_ids, dists))[:k]
-        return [
-            (int(all_ids[i]), float(dists[i]), int(all_cls[i])) for i in order
-        ]
+        rows, ids, dists = self._ranked(query, 0, len(self._ids), exclude, limit=k)
+        if len(ids) < k:
+            raise InsufficientCandidatesError(f"need {k} candidates, have {len(ids)}")
+        classes = np.searchsorted(self._bounds, rows[:k], side="right") - 1
+        return [(int(i), float(d), int(c)) for i, d, c in zip(ids[:k], dists[:k], classes)]

@@ -10,6 +10,7 @@ Evaluation sets additionally drop pairs whose grids are bitwise identical
 and are trimmed (seeded) to an exact 50/50 label balance.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -122,12 +123,15 @@ def sample_eval(store, output, index, config):
     """Test-split sampling with identical-grid dedup and exact 50/50 balance."""
     pairset = _sample(store, output, index, config, "test")
     kept = []
-    for p in pairset.pairs:
-        qg = store.grid("test", p.query_id)
-        ng = store.grid("train", p.neighbor_id)
-        if qg.shape == ng.shape and np.array_equal(qg, ng):
-            continue
-        kept.append(p)
+    test_grids, train_grids = store.grids("test"), store.grids("train")
+    # pairs come grouped by query: compare each query's grid with its
+    # neighbours' grids, gathered once per query
+    for qid, group in itertools.groupby(pairset.pairs, key=lambda p: p.query_id):
+        group = list(group)
+        qg = test_grids[store.rows("test", [qid])[0]]
+        ng = train_grids[store.rows("train", [p.neighbor_id for p in group])]
+        same = (ng == qg).all(axis=(1, 2))
+        kept.extend(p for p, dup in zip(group, same) if not dup)
     pos = [p for p in kept if p.label == POSITIVE]
     neg = [p for p in kept if p.label == NEGATIVE]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBA1A]))

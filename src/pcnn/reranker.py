@@ -143,8 +143,13 @@ def _finalize(qid, entries, mode):
     return RankedResult(qid, entries, best.class_id, count)
 
 
+# pairs gathered per scorer call: bounds the grids held at once; a multiple
+# of ModelScorer's default batch, so its batches are the same as in one call
+_GATHER = 4096
+
+
 def _rerank_queries(store, output, index, scorer, cfg, qids, query_split):
-    """Re-rank the given queries; one batched comparator pass over all pairs."""
+    """Re-rank the given queries; their pairs are scored in gathered chunks."""
     per_query = [
         (qid, _candidates(store, index, query_split, qid, output.row(qid), cfg))
         for qid in qids
@@ -153,9 +158,13 @@ def _rerank_queries(store, output, index, scorer, cfg, qids, query_split):
         (qid, nid) for qid, entries in per_query for e in entries for nid in e.neighbor_ids
     ]
     if pairs:
-        g1 = store.grids(query_split)[store.rows(query_split, [q for q, _ in pairs])]
-        g2 = store.grids("train")[store.rows("train", [n for _, n in pairs])]
-        scores = scorer.score(g1, g2, pairs)
+        rows1 = store.rows(query_split, [q for q, _ in pairs])
+        rows2 = store.rows("train", [n for _, n in pairs])
+        grids1, grids2 = store.grids(query_split), store.grids("train")
+        scores = np.empty(len(pairs))
+        for lo in range(0, len(pairs), _GATHER):
+            sl = slice(lo, lo + _GATHER)
+            scores[sl] = scorer.score(grids1[rows1[sl]], grids2[rows2[sl]], pairs[sl])
         start = 0
         for _, entries in per_query:
             for e in entries:

@@ -26,6 +26,17 @@ def toy_store(classes=4, per_class=6, tokens=3, depth=5, seed=0, spread=4.0, noi
     return store, centroids
 
 
+def record_calls(monkeypatch, owner, name, log):
+    """Wrap `owner.name` so that each call appends `name` to `log`."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        log.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 @pytest.fixture
 def small_store():
     return toy_store()

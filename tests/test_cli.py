@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+from pcnn import pairsampler
+from pcnn.classifier import SyntheticClassifier
 from pcnn.cli import main
+from pcnn.nnindex import ClassIndex
+
+from conftest import record_calls
 
 TINY = {
     "classes": 4,
@@ -113,6 +118,48 @@ def test_full_pipeline(cfg_path, capsys):
     assert code == 0
     doc = json.loads((seed_dir / "explain.json").read_text())
     assert doc["explanations"][0]["classes"][0]["class_name"].startswith("class_")
+
+
+def test_commands_build_only_what_they_read(capsys, tmp_path, monkeypatch):
+    """No command after `train` samples train pairs, and each builds only
+    the index and classifier outputs it reads."""
+    cfg = {
+        "seeds": [1],
+        "output_dir": str(tmp_path / "out"),
+        "synthetic": TINY,
+        "sampler": {"q": 3},
+        "comparator": {"heads": 2},
+        "train": {"epochs": 1, "batch_size": 64, "max_lr": 0.02},
+        "rerank": {"k": 3},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["--config", str(path), "--seed", "1"]
+    assert run_cli(capsys, "train", *argv)[0] == 0
+    # command -> stages it builds beyond the store
+    reads = {
+        "synth": [],
+        "sanity": [],
+        "ceiling": ["predict_split"],
+        "rerank": ["build", "predict_split"],
+        "eval": ["build", "predict_split"],
+    }
+    commands = tuple(reads)
+    before = {cmd: run_cli(capsys, cmd, *argv) for cmd in commands}
+
+    def no_train_pairs(*args):
+        raise AssertionError("train pairs sampled")
+
+    built = []
+    monkeypatch.setattr(pairsampler, "sample_train", no_train_pairs)
+    record_calls(monkeypatch, ClassIndex, "build", built)
+    record_calls(monkeypatch, SyntheticClassifier, "predict_split", built)
+    for cmd in commands:
+        built.clear()
+        code, out, err = run_cli(capsys, cmd, *argv)
+        assert code == 0, err
+        assert out == before[cmd][1]
+        assert sorted(built) == reads[cmd], cmd
 
 
 def test_rerank_without_checkpoint_fails(cfg_path, capsys, tmp_path):

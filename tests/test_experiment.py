@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from pcnn import pairsampler
+from pcnn.classifier import SyntheticClassifier
 from pcnn.experiment import (
     ExperimentConfig,
     StageError,
@@ -11,7 +14,10 @@ from pcnn.experiment import (
     run_seed,
     train_comparator,
 )
+from pcnn.nnindex import ClassIndex
 from pcnn.synthgen import SyntheticSpec, make_centroids, synth_gen
+
+from conftest import record_calls
 
 TINY = {
     "classes": 4,
@@ -124,7 +130,34 @@ class TestPipeline:
     def test_stage_error_names_stage(self, tmp_path):
         cfg = tiny_cfg(tmp_path, sampler={"q": 50})  # classes too small for 50 positives
         with pytest.raises(StageError, match="sampling"):
-            prepare(cfg, 1)
+            prepare(cfg, 1).train_pairs
+
+    def test_failed_stage_is_not_cached(self, tmp_path, monkeypatch):
+        pipe = prepare(tiny_cfg(tmp_path), 1)
+        real, calls = pairsampler.sample_eval, []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("transient")
+            return real(*args)
+
+        monkeypatch.setattr(pairsampler, "sample_eval", flaky)
+        with pytest.raises(StageError, match="sampling") as info:
+            pipe.eval_pairs
+        assert info.value.stage == "sampling"
+        assert len(pipe.eval_pairs.pairs) > 0
+        assert pipe.eval_pairs is pipe.eval_pairs
+        assert len(calls) == 2
+
+    def test_inner_stage_keeps_its_name(self, tmp_path, monkeypatch):
+        def broken(self, store, split):
+            raise RuntimeError("no classifier")
+
+        monkeypatch.setattr(SyntheticClassifier, "predict_split", broken)
+        with pytest.raises(StageError) as info:
+            prepare(tiny_cfg(tmp_path), 1).train_pairs
+        assert info.value.stage == "classifier"
 
     def test_bad_data_stage(self, tmp_path):
         cfg = tiny_cfg(tmp_path, manifest_path=str(tmp_path / "missing.json"),
@@ -181,6 +214,16 @@ class TestRun:
         assert summary["binary_accuracy"]["std"] == pytest.approx(np.std(accs))
         on_disk = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert on_disk["seeds"] == [1, 2]
+
+    def test_run_seed_builds_each_stage_once(self, tmp_path, monkeypatch):
+        calls = []
+        record_calls(monkeypatch, ClassIndex, "build", calls)
+        record_calls(monkeypatch, SyntheticClassifier, "predict_split", calls)
+        record_calls(monkeypatch, pairsampler, "sample_train", calls)
+        record_calls(monkeypatch, pairsampler, "sample_eval", calls)
+        run_seed(tiny_cfg(tmp_path), 1, str(tmp_path / "out" / "seed_1"))
+        assert Counter(calls) == {"build": 1, "predict_split": 2, "sample_train": 1,
+                                  "sample_eval": 1}
 
     def test_reload_checkpoint_reproduces_scores(self, tmp_path):
         from pcnn.comparator import load_checkpoint

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcnn.embedstore import build_store
 from pcnn.nnindex import ClassIndex, InsufficientCandidatesError
 
 from conftest import toy_store
@@ -113,12 +114,58 @@ class TestTopkGlobal:
         assert rid not in [i for i, _, _ in hits]
 
 
+def members(index, class_id):
+    """Record ids of a class, ranked out through `nearest_k_in_class`."""
+    n = index.class_size(class_id)
+    if n == 0:
+        return []
+    query = np.zeros(index._vecs.shape[1])
+    return sorted(i for i, _ in index.nearest_k_in_class(query, class_id, n))
+
+
+class TestLayout:
+    def test_unknown_class(self, store_index):
+        store, _, index = store_index
+        q = store.pooled("test", 0)
+        for cid in (-1, 5, 99):
+            assert index.class_size(cid) == 0
+            with pytest.raises(KeyError):
+                index.nearest_in_class(q, cid)
+            with pytest.raises(KeyError):
+                index.nearest_k_in_class(q, cid, 1)
+
+    def test_classes_hold_their_records(self, store_index):
+        store, _, index = store_index
+        assert index.classes == list(range(5))
+        for c in index.classes:
+            assert members(index, c) == store.by_class("train", c)
+
+    def test_empty_class(self):
+        store, _ = toy_store(classes=3, per_class=4, seed=2)
+        keep = [(r, c) for r, c in store.manifest.records["train"] if c != 1]
+        rows = store.rows("train", [r for r, _ in keep])
+        sparse = build_store(
+            "toy", store.manifest.class_names,
+            {"train": keep, "test": store.manifest.records["test"]},
+            {"train": store.grids("train")[rows], "test": store.grids("test")},
+        )
+        index = ClassIndex.build(sparse)
+        assert [index.class_size(c) for c in index.classes] == [4, 0, 4]
+        q = sparse.pooled("test", 0)
+        with pytest.raises(InsufficientCandidatesError):
+            index.nearest_in_class(q, 1)
+        hits = index.topk_global(q, 8)
+        assert sorted(c for _, _, c in hits) == [0] * 4 + [2] * 4
+        for rid, _, cid in hits:
+            assert sparse.class_of("train", rid) == cid
+
+
 class TestSubsample:
     def test_identity_at_one(self, store_index):
         _, _, index = store_index
         sub = index.subsample(1.0, seed=0)
         for c in index.classes:
-            np.testing.assert_array_equal(sub._ids[c], index._ids[c])
+            assert members(sub, c) == members(index, c)
 
     def test_fraction_033_of_30(self):
         store, _ = toy_store(classes=2, per_class=30, seed=5)
@@ -132,7 +179,17 @@ class TestSubsample:
         a = index.subsample(0.5, seed=7)
         b = index.subsample(0.5, seed=7)
         for c in index.classes:
-            np.testing.assert_array_equal(a._ids[c], b._ids[c])
+            assert members(a, c) == members(b, c)
+
+    def test_keeps_the_seeded_draw(self, store_index):
+        """Each class keeps the ids of one SeedSequence([seed, class]) draw."""
+        store, _, index = store_index
+        sub = index.subsample(0.5, seed=7)
+        for c in index.classes:
+            ids = store.by_class("train", c)
+            rng = np.random.default_rng(np.random.SeedSequence([7, c]))
+            chosen = np.sort(rng.choice(len(ids), size=4, replace=False))
+            assert members(sub, c) == [ids[i] for i in chosen]
 
     def test_bad_fraction(self, store_index):
         _, _, index = store_index
@@ -140,14 +197,20 @@ class TestSubsample:
             index.subsample(0.0, seed=0)
 
 
-def test_backend_consistency(store_index):
-    """Numba and numpy kernels must agree on rankings."""
+def test_sqdist_many_matches_direct_form(store_index):
+    """The Gram-form batch kernel agrees with stacked direct-form distances
+    to rounding and is never negative, a query equal to a base row included."""
     from pcnn import kernels
 
-    store, _, index = store_index
+    store, _, _ = store_index
     rng = np.random.default_rng(9)
-    q = rng.normal(size=store.manifest.depth)
     base = store.pooled_all("train")
-    a = kernels._numpy_sqdist_one(q, base)
-    b = kernels.sqdist_one(np.ascontiguousarray(q), np.ascontiguousarray(base))
-    np.testing.assert_allclose(a, b, rtol=1e-12)
+    # every base row is also a query: unclamped, the Gram form can give
+    # -1e-13-sized distances on some of them
+    queries = np.vstack([rng.normal(size=(6, base.shape[1])) * 3, base])
+    many = kernels.sqdist_many(queries, base)
+    direct = np.stack([kernels.sqdist_one(q, base) for q in queries])
+    assert many.shape == (len(queries), len(base))
+    assert np.all(many >= 0)
+    np.testing.assert_allclose(many, direct, rtol=1e-9, atol=1e-9)
+    assert np.all(np.diag(direct[6:]) == 0.0)

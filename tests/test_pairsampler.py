@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from pcnn import pairsampler
 from pcnn.classifier import SyntheticClassifier, top_q
+from pcnn.embedstore import build_store
 from pcnn.nnindex import ClassIndex, InsufficientCandidatesError
 from pcnn.pairsampler import (
     NEGATIVE,
@@ -162,6 +164,37 @@ class TestEvalSampling:
         pooled = store.pooled("test", p.query_id)
         want, _ = index.nearest_in_class(pooled, p.source_class, rank=1)
         assert p.neighbor_id == want
+
+    def test_duplicate_grid_pair_dropped(self):
+        """A test grid equal to a train grid drops exactly the pairs that
+        join the two; the rest stay, trimmed to an exact balance."""
+        store, centroids = toy_store(classes=4, per_class=6, seed=4)
+        qid = store.ids("test")[0]
+        twin = store.by_class("train", store.class_of("test", qid))[2]
+        grids = {s: store.grids(s).copy() for s in ("train", "test")}
+        grids["test"][store.rows("test", [qid])[0]] = store.grid("train", twin)
+        store = build_store("toy", store.manifest.class_names, store.manifest.records, grids)
+        index = ClassIndex.build(store)
+        out_test = SyntheticClassifier(centroids, tau=1.0, seed=7).predict_split(store, "test")
+        cfg = SamplerConfig(q=3, seed=0)
+
+        raw = [(p.query_id, p.neighbor_id, p.label)
+               for p in pairsampler._sample(store, out_test, index, cfg, "test").pairs]
+        assert (qid, twin, POSITIVE) in raw
+        # loop reference of the dedupe: one grid comparison per pair
+        undup = [t for t in raw if not np.array_equal(
+            store.grid("test", t[0]), store.grid("train", t[1]))]
+        assert len(undup) == len(raw) - 1
+
+        pairs = sample_eval(store, out_test, index, cfg)
+        got = [(p.query_id, p.neighbor_id, p.label) for p in pairs.pairs]
+        assert (qid, twin, POSITIVE) not in got
+        assert len(pairs.positives()) == len(pairs.negatives())
+        n_pos = sum(1 for t in undup if t[2] == POSITIVE)
+        assert len(got) == 2 * min(n_pos, len(undup) - n_pos)
+        # kept pairs are a subsequence of the undeduplicated order
+        it = iter(undup)
+        assert all(t in it for t in got)
 
 
 def test_jsonl_roundtrip(pipeline, tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pcnn import reranker
 from pcnn.classifier import SyntheticClassifier, top_q
 from pcnn.comparator import ComparatorConfig, ComparatorModel
 from pcnn.nnindex import ClassIndex
@@ -184,6 +185,26 @@ class TestEvaluate:
             assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
         for r_soft, r_hard in zip(report.results_soft, report.results_hard):
             assert all(a is not b for a, b in zip(r_soft.entries, r_hard.entries))
+
+    def test_chunked_scoring_matches_one_gather(self, world, monkeypatch):
+        # chunks a multiple of the scorer's batch leave every batch as is
+        store, index, out = world
+        model = ComparatorModel(ComparatorConfig(depth=5, tokens=3, heads=1), seed=0)
+        model.mlp_w[3].data = np.random.default_rng(4).normal(size=model.mlp_w[3].data.shape)
+        scorer = ModelScorer(model, batch_size=4)
+        cfg = RerankConfig(k=3, n_neighbors=2)
+        whole = rerank_split(store, out, index, scorer, cfg)
+        real, sizes = scorer.score, []
+
+        def score(grids1, grids2, meta):
+            sizes.append(len(grids1))
+            return real(grids1, grids2, meta)
+
+        monkeypatch.setattr(scorer, "score", score)
+        monkeypatch.setattr(reranker, "_GATHER", 8)
+        chunked = rerank_split(store, out, index, scorer, cfg)
+        assert sizes == [8] * (store.size("test") * 3 * 2 // 8)
+        assert [r.to_json_obj() for r in chunked] == [r.to_json_obj() for r in whole]
 
     def test_save_results_jsonl(self, world, tmp_path):
         store, index, out = world
