@@ -1,8 +1,9 @@
 """Squared-L2 distance kernels (numpy).
 
 `sqdist_one` uses the direct form, so retrieval distances and their ties are
-exact; `sqdist_many` uses the Gram expansion, so tiny differences from the
-direct form are expected near zero distance.
+exact; its query is one vector, or one row per base row. `sqdist_many` uses
+the Gram expansion, so tiny differences from the direct form are expected
+near zero distance; retrieval uses it only to pick candidates.
 """
 
 import numpy as np

@@ -11,6 +11,10 @@ import numpy as np
 from . import kernels
 
 
+# distance-matrix elements per query chunk in `ClassIndex._nearest`
+_CHUNK = 1 << 18
+
+
 class InsufficientCandidatesError(ValueError):
     pass
 
@@ -64,47 +68,86 @@ class ClassIndex:
         rows = np.concatenate(kept)
         return ClassIndex(self._vecs[rows], self._ids[rows], bounds)
 
-    def _ranked(self, query, lo, hi, exclude, limit=None):
-        """Rows lo:hi minus excluded ids by ascending (distance, id): the
-        rows, their ids and their distances."""
-        rows, ids, vecs = np.arange(lo, hi), self._ids[lo:hi], self._vecs[lo:hi]
-        if exclude:
-            keep = (~np.isin(ids, list(exclude))).nonzero()[0]
-            rows, ids, vecs = rows[keep], ids[keep], vecs[keep]
-        if len(ids) == 0:
-            return rows, ids, np.empty(0)
-        dists = kernels.sqdist_one(np.ascontiguousarray(query, dtype=np.float64), vecs)
-        if limit is not None and limit < len(ids):
-            # tie-safe partial selection: keep every record at or below the
-            # limit-th distance, then order only the survivors
-            keep = (dists <= np.partition(dists, limit - 1)[limit - 1]).nonzero()[0]
-            rows, ids, dists = rows[keep], ids[keep], dists[keep]
-        order = np.lexsort((ids, dists))
-        return rows[order], ids[order], dists[order]
+    def _nearest(self, queries, lo, hi, k, skip_q=(), skip_c=()):
+        """The k nearest of rows lo:hi for each query row by ascending
+        (distance, id), query skip_q[j] skipping row lo + skip_c[j]: (n, k)
+        rows and their direct-form squared distances.
+
+        The Gram-form kernel picks the candidates, widened by a bound on its
+        rounding error, and only they are ranked by the direct form, so the
+        result equals ranking every row by the direct form."""
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        skip_q = np.asarray(skip_q, dtype=np.intp)
+        skip_c = np.asarray(skip_c, dtype=np.intp)
+        have = (hi - lo) - np.bincount(skip_q, minlength=len(queries))
+        if len(queries) and have.min() < k:
+            raise InsufficientCandidatesError(f"need {k} candidates, have {have.min()}")
+        rows = np.empty((len(queries), k), dtype=np.intp)
+        dists = np.empty((len(queries), k))
+        if k == 0:
+            return rows, dists
+        ids, vecs = self._ids[lo:hi], self._vecs[lo:hi]
+        # |Gram - direct| <= tol, per query: both forms round within a few
+        # ulps of |q|^2 + |b|^2 for each of the D terms
+        slack = 8 * (vecs.shape[1] + 2) * np.finfo(np.float64).eps
+        bb_max = np.einsum("ij,ij->i", vecs, vecs).max(initial=0.0)
+        step = max(1, _CHUNK // max(1, hi - lo))
+        for s in range(0, len(queries), step):
+            q = queries[s:s + step]
+            approx = kernels.sqdist_many(q, vecs)
+            tol = slack * (np.einsum("ij,ij->i", q, q) + bb_max)
+            mine = (skip_q >= s) & (skip_q < s + len(q))
+            approx[skip_q[mine] - s, skip_c[mine]] = np.inf
+            # every row within 2 tol of the k-th smallest Gram distance
+            upper = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2 * tol
+            qi, ci = (approx <= upper[:, None]).nonzero()
+            d = kernels.sqdist_one(q[qi], vecs[ci])
+            # qi ascends, so each query keeps its block of the ordering
+            order = np.lexsort((ids[ci], d, qi))
+            pick = order[np.searchsorted(qi, np.arange(len(q)))[:, None] + np.arange(k)]
+            rows[s:s + len(q)] = lo + ci[pick]
+            dists[s:s + len(q)] = d[pick]
+        return rows, dists
+
+    def _nearest_one(self, query, lo, hi, k, exclude):
+        """`_nearest` for one query that skips the ids in `exclude`."""
+        skip = np.isin(self._ids[lo:hi], list(exclude)).nonzero()[0] if exclude else ()
+        rows, dists = self._nearest(query, lo, hi, k, np.zeros(len(skip), np.intp), skip)
+        return rows[0], self._ids[rows[0]], dists[0]
+
+    def nearest_k_many(self, queries, class_id, k, exclude=None):
+        """Ids of the k nearest records of a class for each query row, by
+        ascending (distance, id), as an (n, k) array; `exclude`, if given,
+        holds one record id per query that the query skips."""
+        lo, hi = self._rows(class_id)
+        skip_q = skip_c = ()
+        if exclude is not None and hi > lo:
+            # class rows ascend by id: find each excluded id's row, if any
+            exclude = np.asarray(exclude)
+            pos = np.minimum(np.searchsorted(self._ids[lo:hi], exclude), hi - lo - 1)
+            skip_q = (self._ids[lo + pos] == exclude).nonzero()[0]
+            skip_c = pos[skip_q]
+        try:
+            rows, _ = self._nearest(queries, lo, hi, k, skip_q, skip_c)
+        except InsufficientCandidatesError as exc:
+            raise InsufficientCandidatesError(f"class {class_id}: {exc}") from exc
+        return self._ids[rows]
 
     def nearest_in_class(self, query, class_id, rank=1, exclude=()):
         """n-th nearest (1-based) non-excluded record of a class."""
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        _, ids, dists = self._ranked(query, *self._rows(class_id), exclude, limit=rank)
-        if len(ids) < rank:
-            raise InsufficientCandidatesError(
-                f"class {class_id}: need rank {rank}, only {len(ids)} candidates"
-            )
-        return int(ids[rank - 1]), float(dists[rank - 1])
+        return self.nearest_k_in_class(query, class_id, rank, exclude)[rank - 1]
 
     def nearest_k_in_class(self, query, class_id, k, exclude=()):
-        _, ids, dists = self._ranked(query, *self._rows(class_id), exclude, limit=k)
-        if len(ids) < k:
-            raise InsufficientCandidatesError(
-                f"class {class_id}: need {k} candidates, have {len(ids)}"
-            )
-        return [(int(i), float(d)) for i, d in zip(ids[:k], dists[:k])]
+        try:
+            _, ids, dists = self._nearest_one(query, *self._rows(class_id), k, exclude)
+        except InsufficientCandidatesError as exc:
+            raise InsufficientCandidatesError(f"class {class_id}: {exc}") from exc
+        return [(int(i), float(d)) for i, d in zip(ids, dists)]
 
     def topk_global(self, query, k, exclude=()):
         """Exact global top-k (ascending distance, id tie-break)."""
-        rows, ids, dists = self._ranked(query, 0, len(self._ids), exclude, limit=k)
-        if len(ids) < k:
-            raise InsufficientCandidatesError(f"need {k} candidates, have {len(ids)}")
-        classes = np.searchsorted(self._bounds, rows[:k], side="right") - 1
-        return [(int(i), float(d), int(c)) for i, d, c in zip(ids[:k], dists[:k], classes)]
+        rows, ids, dists = self._nearest_one(query, 0, len(self._ids), k, exclude)
+        classes = np.searchsorted(self._bounds, rows, side="right") - 1
+        return [(int(i), float(d), int(c)) for i, d, c in zip(ids, dists, classes)]

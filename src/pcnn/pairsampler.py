@@ -65,53 +65,63 @@ class PairSet:
         return [p for p in self.pairs if p.label == NEGATIVE]
 
 
-def _pairs_for_query(store, index, output, config, split, qid, num_classes):
-    gt = store.class_of(split, qid)
-    pooled = store.pooled(split, qid)
-    pred = top_q(output.row(qid), config.q)
-    in_topq = gt in pred.classes
-
-    exclude = {qid} if split == "train" else ()
-    try:
-        pos_neighbors = index.nearest_k_in_class(pooled, gt, config.q, exclude=exclude)
-    except InsufficientCandidatesError as exc:
-        raise InsufficientCandidatesError(
-            f"class {gt} too small for {config.q} positives: {exc}"
-        ) from exc
-    pairs = [
-        PairSample(qid, nid, POSITIVE, gt, rank)
-        for rank, (nid, _) in enumerate(pos_neighbors, start=1)
-    ]
-
+def _negative_classes(config, pred, gt, in_topq, qid, num_classes):
     if config.negative_mode == "hard_topQ":
-        neg_classes = [int(c) for c in pred.classes if c != gt]
-    else:
-        want = config.q - 1 if in_topq else config.q
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, qid]))
-        others = np.array([c for c in range(num_classes) if c != gt])
-        neg_classes = [int(c) for c in rng.choice(others, size=want, replace=False)]
-
-    for cid in neg_classes:
-        try:
-            nid, _ = index.nearest_in_class(pooled, cid, rank=config.nn_rank, exclude=())
-        except InsufficientCandidatesError as exc:
-            raise InsufficientCandidatesError(
-                f"class {cid} too small for negative at rank {config.nn_rank}: {exc}"
-            ) from exc
-        pairs.append(PairSample(qid, nid, NEGATIVE, cid, config.nn_rank))
-    return pairs, in_topq
+        return [int(c) for c in pred.classes if c != gt]
+    want = config.q - 1 if in_topq else config.q
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, qid]))
+    others = np.array([c for c in range(num_classes) if c != gt])
+    return [int(c) for c in rng.choice(others, size=want, replace=False)]
 
 
 def _sample(store, output, index, config, split):
     num_classes = store.manifest.num_classes
-    pairs = []
-    gt_flags = {}
-    for qid in store.ids(split):
-        qpairs, in_topq = _pairs_for_query(
-            store, index, output, config, split, qid, num_classes
-        )
-        pairs.extend(qpairs)
+    qids = store.ids(split)
+    queries = store.pooled_all(split)[store.rows(split, qids)]
+    gts, neg_classes, gt_flags = [], [], {}
+    for qid in qids:
+        gt = store.class_of(split, qid)
+        pred = top_q(output.row(qid), config.q)
+        in_topq = gt in pred.classes
+        gts.append(gt)
+        neg_classes.append(_negative_classes(config, pred, gt, in_topq, qid, num_classes))
         gt_flags[qid] = in_topq
+
+    # retrieve class by class, for every query that needs the class at once
+    gt_arr = np.array(gts, dtype=np.int64)
+    positives = np.empty((len(qids), config.q), dtype=np.int64)
+    for cid in np.unique(gt_arr).tolist():
+        at = (gt_arr == cid).nonzero()[0]
+        exclude = np.array(qids, dtype=np.int64)[at] if split == "train" else None
+        try:
+            positives[at] = index.nearest_k_many(queries[at], cid, config.q, exclude)
+        except InsufficientCandidatesError as exc:
+            raise InsufficientCandidatesError(
+                f"class {cid} too small for {config.q} positives: {exc}"
+            ) from exc
+    neg_query = np.repeat(np.arange(len(qids)), [len(c) for c in neg_classes])
+    neg_class = np.array([c for cs in neg_classes for c in cs], dtype=np.int64)
+    negatives = np.empty(len(neg_class), dtype=np.int64)
+    for cid in np.unique(neg_class).tolist():
+        at = (neg_class == cid).nonzero()[0]
+        try:
+            hits = index.nearest_k_many(queries[neg_query[at]], cid, config.nn_rank)
+        except InsufficientCandidatesError as exc:
+            raise InsufficientCandidatesError(
+                f"class {cid} too small for negative at rank {config.nn_rank}: {exc}"
+            ) from exc
+        negatives[at] = hits[:, -1]
+
+    pairs = []
+    neg_ids = iter(negatives.tolist())
+    for qid, gt, pos_ids, classes in zip(qids, gts, positives.tolist(), neg_classes):
+        pairs.extend(
+            PairSample(qid, nid, POSITIVE, gt, rank)
+            for rank, nid in enumerate(pos_ids, start=1)
+        )
+        pairs.extend(
+            PairSample(qid, next(neg_ids), NEGATIVE, cid, config.nn_rank) for cid in classes
+        )
     return PairSet(split, config, pairs, gt_flags)
 
 

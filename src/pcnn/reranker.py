@@ -115,21 +115,28 @@ class CosineScorer:
 # ------------------------------------------------------------- re-rank
 
 
-def _candidates(store, index, query_split, qid, probs, cfg):
-    """Top-K entries with retrieved neighbors; s scores filled in later."""
-    pred = top_q(probs, min(cfg.k, len(probs)))
-    pooled = store.pooled(query_split, qid)
-    exclude = {qid} if query_split == "train" else ()
-    entries = []
-    for cid, p in zip(pred.classes, pred.probs):
-        if cfg.prob_floor > 0 and p < cfg.prob_floor:
-            entries.append(ClassEntry(int(cid), float(p), [], None, -np.inf))
-            continue
-        neigh = index.nearest_k_in_class(pooled, int(cid), cfg.n_neighbors, exclude=exclude)
-        entries.append(
-            ClassEntry(int(cid), float(p), [nid for nid, _ in neigh], None, -np.inf)
-        )
-    return entries
+def _candidates(store, index, query_split, qids, output, cfg):
+    """(qid, top-K entries) per query with their retrieved neighbors, fetched
+    class by class for all queries at once; s scores filled in later."""
+    per_query, wanted = [], {}  # class id -> [(query position, entry)]
+    for at, qid in enumerate(qids):
+        probs = output.row(qid)
+        pred = top_q(probs, min(cfg.k, len(probs)))
+        entries = []
+        for cid, p in zip(pred.classes.tolist(), pred.probs.tolist()):
+            entries.append(ClassEntry(cid, p, [], None, -np.inf))
+            if not (cfg.prob_floor > 0 and p < cfg.prob_floor):
+                wanted.setdefault(cid, []).append((at, entries[-1]))
+        per_query.append((qid, entries))
+    queries = store.pooled_all(query_split)[store.rows(query_split, qids)]
+    ids = np.array(qids, dtype=np.int64)
+    for cid, want in wanted.items():
+        at = np.array([i for i, _ in want])
+        exclude = ids[at] if query_split == "train" else None
+        neigh = index.nearest_k_many(queries[at], cid, cfg.n_neighbors, exclude)
+        for (_, entry), row in zip(want, neigh.tolist()):
+            entry.neighbor_ids = row
+    return per_query
 
 
 def _finalize(qid, entries, mode):
@@ -150,10 +157,7 @@ _GATHER = 4096
 
 def _rerank_queries(store, output, index, scorer, cfg, qids, query_split):
     """Re-rank the given queries; their pairs are scored in gathered chunks."""
-    per_query = [
-        (qid, _candidates(store, index, query_split, qid, output.row(qid), cfg))
-        for qid in qids
-    ]
+    per_query = _candidates(store, index, query_split, qids, output, cfg)
     pairs = [
         (qid, nid) for qid, entries in per_query for e in entries for nid in e.neighbor_ids
     ]

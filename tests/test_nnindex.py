@@ -214,3 +214,32 @@ def test_sqdist_many_matches_direct_form(store_index):
     assert np.all(many >= 0)
     np.testing.assert_allclose(many, direct, rtol=1e-9, atol=1e-9)
     assert np.all(np.diag(direct[6:]) == 0.0)
+
+
+def test_nearest_k_many_matches_direct_ranking():
+    """The batched path returns the direct-form (distance, id) ranking, with
+    exact ties from duplicated vectors and a per-query excluded id."""
+    from pcnn import kernels
+
+    rng = np.random.default_rng(4)
+    base = rng.integers(-3, 4, size=(12, 6)).astype(float)
+    vecs = base[rng.integers(0, len(base), size=30)]  # many exact ties
+    ids = rng.permutation(300)[:30]
+    labels = rng.integers(0, 2, size=30)
+    order = np.lexsort((ids, labels))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(labels, minlength=2))])
+    index = ClassIndex(vecs[order], ids[order], bounds)
+    queries = np.vstack([vecs[:6], rng.normal(size=(6, 6))])
+    for cid in (0, 1):
+        cls_ids = index._ids[bounds[cid]:bounds[cid + 1]]
+        cls_vecs = index._vecs[bounds[cid]:bounds[cid + 1]]
+        exclude = cls_ids[rng.integers(0, len(cls_ids), size=len(queries))]
+        for k in range(1, len(cls_ids)):
+            got = index.nearest_k_many(queries, cid, k, exclude=exclude)
+            for q, skip, row in zip(queries, exclude, got):
+                keep = cls_ids != skip
+                dist = kernels.sqdist_one(q, cls_vecs[keep])
+                want = cls_ids[keep][np.lexsort((cls_ids[keep], dist))][:k]
+                assert list(row) == list(want)
+        with pytest.raises(InsufficientCandidatesError):
+            index.nearest_k_many(queries, cid, len(cls_ids), exclude=exclude)
