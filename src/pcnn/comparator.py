@@ -7,8 +7,10 @@ Trained with momentum SGD under a one-cycle learning-rate schedule on
 binary cross-entropy; the checkpoint with the best eval F1 is kept.
 """
 
+import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,20 +153,33 @@ class ComparatorModel:
             nk.slice_axis(x, 1, 0, 1), (x.shape[0], self.cfg.depth)
         )
 
-    def forward_logits(self, grids1, grids2, mode="eval"):
-        """Logits for a batch of pairs; grids are (B, T, D) arrays."""
+    def branch(self, grids):
+        """One branch up to the first cross layer: the embedding, then block
+        0's self-attention layers (the embedding alone when L = 0).
+
+        Depends on one grid only, so a record's branch is the same in every
+        pair it appears in.
+        """
         cfg = self.cfg
-        for g in (grids1, grids2):
-            if g.shape[1:] != (cfg.tokens, cfg.depth):
-                raise nk.ShapeError(
-                    f"grid shape {g.shape[1:]} vs config ({cfg.tokens}, {cfg.depth})"
-                )
-        x1 = self._embed(np.asarray(grids1, dtype=np.float64))
-        x2 = self._embed(np.asarray(grids2, dtype=np.float64))
+        if grids.shape[1:] != (cfg.tokens, cfg.depth):
+            raise nk.ShapeError(
+                f"grid shape {grids.shape[1:]} vs config ({cfg.tokens}, {cfg.depth})"
+            )
+        x = self._embed(np.asarray(grids, dtype=np.float64))
+        if cfg.blocks:
+            for p in self.self_attn[0]:
+                x = nk.add(x, nk.mhsa(x, p, cfg.heads))
+        return x
+
+    def fuse_logits(self, x1, x2, mode="eval"):
+        """Logits of a batch of pairs from their two `branch` outputs: block
+        0's cross layers, blocks 1..L-1 in full, then the MLP head."""
+        cfg = self.cfg
         for l in range(cfg.blocks):
-            for p in self.self_attn[l]:
-                x1 = nk.add(x1, nk.mhsa(x1, p, cfg.heads))
-                x2 = nk.add(x2, nk.mhsa(x2, p, cfg.heads))
+            if l:
+                for p in self.self_attn[l]:
+                    x1 = nk.add(x1, nk.mhsa(x1, p, cfg.heads))
+                    x2 = nk.add(x2, nk.mhsa(x2, p, cfg.heads))
             for p in self.cross_attn[l]:
                 x1, x2 = nk.cross_attention(x1, x2, p, cfg.heads)
         h = nk.concat([self._branch_cls(x1), self._branch_cls(x2)], axis=1)
@@ -173,6 +188,10 @@ class ComparatorModel:
         h = nk.linear(h, self.mlp_w[2], self.mlp_b[2])
         h = nk.linear(h, self.mlp_w[3], self.mlp_b[3])
         return nk.reshape(h, (h.shape[0],))
+
+    def forward_logits(self, grids1, grids2, mode="eval"):
+        """Logits for a batch of pairs; grids are (B, T, D) arrays."""
+        return self.fuse_logits(self.branch(grids1), self.branch(grids2), mode)
 
     def score_pairs(self, grids1, grids2):
         logits = self.forward_logits(grids1, grids2, mode="eval")
@@ -234,16 +253,30 @@ def metrics_from_scores(scores, labels, threshold=0.5):
     )
 
 
-def score_in_batches(model, n, pair_grids, batch_size=256):
-    """Eval-mode scores of n pairs, `batch_size` pairs per forward pass.
+def score_rows(model, grids1, rows1, grids2, rows2, batch_size=256):
+    """Eval-mode scores of the pairs (grids1[rows1[i]], grids2[rows2[i]]).
 
-    pair_grids(sl) returns the (grids1, grids2) arrays of the pairs in slice
-    sl, so callers gather one batch at a time rather than the whole set.
+    Each distinct row of either side goes through `model.branch` once,
+    `batch_size` rows at a time; `fuse_logits` then runs on the gathered
+    branch outputs, `batch_size` pairs at a time. The scores are bitwise
+    equal to `model.score_pairs` on the same pair batches.
     """
-    scores = np.empty(n)
-    for start in range(0, n, batch_size):
+    scores = np.empty(len(rows1))
+    if not len(scores):
+        return scores
+
+    def features(grids, rows):
+        distinct, at = np.unique(rows, return_inverse=True)
+        parts = [model.branch(grids[distinct[lo : lo + batch_size]]).data
+                 for lo in range(0, len(distinct), batch_size)]
+        return np.concatenate(parts), at
+
+    f1, at1 = features(grids1, rows1)
+    f2, at2 = features(grids2, rows2)
+    for start in range(0, len(scores), batch_size):
         sl = slice(start, start + batch_size)
-        scores[sl] = model.score_pairs(*pair_grids(sl))
+        logits = model.fuse_logits(nk.Tensor(f1[at1[sl]]), nk.Tensor(f2[at2[sl]]), "eval")
+        scores[sl] = nk.sigmoid(logits).data
     return scores
 
 
@@ -256,9 +289,8 @@ def pairset_rows(store, pairset):
 
 def score_pairset(model, store, pairset, batch_size=256):
     rows1, rows2 = pairset_rows(store, pairset)
-    grids1, grids2 = store.grids(pairset.split), store.grids("train")
-    return score_in_batches(
-        model, len(rows1), lambda sl: (grids1[rows1[sl]], grids2[rows2[sl]]), batch_size
+    return score_rows(
+        model, store.grids(pairset.split), rows1, store.grids("train"), rows2, batch_size
     )
 
 
@@ -386,12 +418,24 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
 # ----------------------------------------------------------- checkpoints
 
 
+class CheckpointError(ValueError):
+    """A checkpoint whose header or blob does not match what it declares."""
+
+
+def _write_atomic(path, data):
+    """Write bytes to a temporary file beside `path`, then move it into place."""
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(model, path_blob, path_header, extra=None):
+    """Write the state arrays as one f8 blob, then a JSON header with the
+    config, every array's shape and the blob's byte length and sha256."""
     arrays = model.state_arrays()
     order = sorted(arrays)
-    with open(path_blob, "wb") as fh:
-        for name in order:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+    blob = b"".join(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes() for name in order)
     header = {
         "config": {
             "depth": model.cfg.depth,
@@ -404,23 +448,47 @@ def save_checkpoint(model, path_blob, path_header, extra=None):
             "jitter_sigma": model.cfg.jitter_sigma,
         },
         "arrays": {name: list(arrays[name].shape) for name in order},
+        "blob_bytes": len(blob),
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "extra": extra or {},
     }
-    with open(path_header, "w") as fh:
-        json.dump(header, fh, indent=2)
+    _write_atomic(path_blob, blob)
+    _write_atomic(path_header, json.dumps(header, indent=2).encode())
 
 
 def load_checkpoint(path_blob, path_header):
-    with open(path_header) as fh:
-        header = json.load(fh)
-    cfg = ComparatorConfig(**header["config"])
+    """Load a checkpoint; raises CheckpointError naming the file when the
+    header's shapes differ from a freshly built model's, or the blob's byte
+    length or sha256 differs from the header's."""
+    try:
+        with open(path_header) as fh:
+            header = json.load(fh)
+        cfg = ComparatorConfig(**header["config"])
+        shapes = {name: tuple(shape) for name, shape in header["arrays"].items()}
+        nbytes, sha256 = int(header["blob_bytes"]), str(header["blob_sha256"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path_header}: malformed header ({exc!r})") from exc
     model = ComparatorModel(cfg, seed=0)
-    snap = {}
+    built = {name: a.shape for name, a in model.state_arrays().items()}
+    for name in sorted(set(shapes) | set(built)):
+        if shapes.get(name) != built.get(name):
+            raise CheckpointError(
+                f"{path_header}: array {name!r} has shape {shapes.get(name)}, "
+                f"the configured model {built.get(name)}"
+            )
+    if nbytes != 8 * sum(math.prod(shape) for shape in shapes.values()):
+        raise CheckpointError(f"{path_header}: blob_bytes {nbytes} does not fit the arrays")
     with open(path_blob, "rb") as fh:
-        for name in sorted(header["arrays"]):
-            shape = tuple(header["arrays"][name])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            snap[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        blob = fh.read()
+    if len(blob) != nbytes:
+        raise CheckpointError(f"{path_blob}: {len(blob)} bytes, header says {nbytes}")
+    if hashlib.sha256(blob).hexdigest() != sha256:
+        raise CheckpointError(f"{path_blob}: sha256 differs from the header's")
+    snap, offset = {}, 0
+    for name in sorted(shapes):
+        count = math.prod(shapes[name])
+        snap[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(
+            shapes[name]).copy()
+        offset += 8 * count
     model.restore(snap)
     return model, header

@@ -179,8 +179,11 @@ def run_seed(cfg, seed, out_dir):
     store, index, out_test = pipe.store, pipe.index, pipe.out_test
     train_pairs, eval_pairs = pipe.train_pairs, pipe.eval_pairs
 
+    # the restored model is the selected epoch's, so its eval metrics stand
+    best = report.epochs[report.selected_epoch]
+    binary = {"accuracy": best["eval_accuracy"],
+              **{k: best[k] for k in ("precision", "recall", "f1")}}
     with _stage("evaluation"):
-        binary = comparator.evaluate_binary(model, store, eval_pairs)
         rr_cfg = RerankConfig(**cfg.rerank)
         rr = reranker.evaluate_rerank(store, out_test, index, ModelScorer(model), rr_cfg)
         sanity = reranker.sanity_suite(model, store, seed=seed)
@@ -192,7 +195,7 @@ def run_seed(cfg, seed, out_dir):
         model,
         os.path.join(out_dir, "checkpoint.bin"),
         os.path.join(out_dir, "checkpoint.json"),
-        extra={"seed": seed, "selected_epoch": report.selected_epoch, "f1": binary.f1},
+        extra={"seed": seed, "selected_epoch": report.selected_epoch, "f1": binary["f1"]},
     )
     with open(os.path.join(out_dir, "train_report.json"), "w") as fh:
         fh.write(report.to_json())
@@ -203,12 +206,7 @@ def run_seed(cfg, seed, out_dir):
 
     results = {
         "seed": seed,
-        "binary": {
-            "accuracy": binary.accuracy,
-            "precision": binary.precision,
-            "recall": binary.recall,
-            "f1": binary.f1,
-        },
+        "binary": binary,
         "rerank": {
             "accuracy_c": rr.accuracy_c,
             "accuracy_soft": rr.accuracy_soft,

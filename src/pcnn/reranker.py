@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classifier import top_q
-from .comparator import score_in_batches
+from .comparator import score_rows
 
 
 @dataclass
@@ -70,6 +70,12 @@ class RankedResult:
 # ------------------------------------------------------------- scorers
 
 
+def _first_rows(ids):
+    """Row of each id's first occurrence, one entry per id."""
+    _, first, at = np.unique(ids, return_index=True, return_inverse=True)
+    return first[at]
+
+
 class ModelScorer:
     """Scores pairs with a trained comparator, batched."""
 
@@ -78,9 +84,20 @@ class ModelScorer:
         self.batch_size = batch_size
 
     def score(self, grids1, grids2, meta=None):
-        return score_in_batches(
-            self.model, len(grids1), lambda sl: (grids1[sl], grids2[sl]), self.batch_size
-        )
+        """Eval-mode scores of the pairs (grids1[i], grids2[i]).
+
+        `meta`, when given, holds each row's (query id, neighbour id): rows
+        with the same query id must carry the same grids1 grid, rows with the
+        same neighbour id the same grids2 grid, and each distinct record
+        goes through the comparator's branch once. Without `meta` every row
+        counts as distinct. The scores do not depend on `meta`.
+        """
+        if meta is None:
+            rows1 = rows2 = np.arange(len(grids1))
+        else:
+            rows1 = _first_rows([q for q, _ in meta])
+            rows2 = _first_rows([n for _, n in meta])
+        return score_rows(self.model, grids1, rows1, grids2, rows2, self.batch_size)
 
 
 class OracleScorer:
@@ -273,13 +290,15 @@ def sanity_suite(model, store, query_split="test", seed=0, batch=64):
     rng = np.random.default_rng(seed)
     lo, hi = float(grids.min()), float(grids.max())
 
-    def rate(g2):
-        scores = score_in_batches(model, len(ids), lambda sl: (grids[sl], g2[sl]))
+    rows = np.arange(len(ids))
+
+    def rate(grids2, rows2):
+        scores = score_rows(model, grids, rows, grids2, rows2)
         return float(np.mean(scores > 0.5))
 
-    self_rate = rate(grids)
+    self_rate = rate(grids, rows)
     random_grids = rng.uniform(lo, hi, size=grids.shape)
-    random_rate = rate(random_grids)
+    random_rate = rate(random_grids, rows)
     # emulate a shuffled dataloader: random order, partner = next in batch
     order = rng.permutation(len(ids))
     partner = np.empty(len(ids), dtype=np.int64)
@@ -287,7 +306,7 @@ def sanity_suite(model, store, query_split="test", seed=0, batch=64):
         n = min(batch, len(ids) - start)
         block = order[start : start + n]
         partner[block] = block[(np.arange(n) + 1) % n]
-    shuffled_rate = rate(grids[partner])
+    shuffled_rate = rate(grids, partner)
     return SanityReport(self_rate, random_rate, shuffled_rate)
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from pcnn import numkernel as nk
 from pcnn.classifier import SyntheticClassifier
 from pcnn.comparator import (
+    CheckpointError,
     ComparatorConfig,
     ComparatorModel,
     TrainConfig,
@@ -17,6 +20,7 @@ from pcnn.comparator import (
     one_cycle_lr,
     save_checkpoint,
     score_pairset,
+    score_rows,
     train,
 )
 from pcnn.nnindex import ClassIndex
@@ -91,6 +95,77 @@ class TestArchitecture:
         batch = model.score_pairs(g1, g2)
         singles = [model.forward_pair(g1[i], g2[i]) for i in range(3)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+class TestScoreRows:
+    CONFIGS = [
+        dict(blocks=0, cross_layers=0, self_layers=0),
+        dict(blocks=1),
+        dict(blocks=2),
+        dict(blocks=1, self_layers=2),
+        dict(blocks=2, self_layers=2, cross_layers=2),
+    ]
+
+    @staticmethod
+    def model(cfg, seed=0):
+        model = ComparatorModel(small_cfg(**cfg), seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        model.mlp_w[3].data = rng.normal(size=model.mlp_w[3].data.shape)
+        model.bn1.running_mean = rng.normal(0, 0.1, size=512)
+        return model
+
+    @staticmethod
+    def per_batch(model, grids1, rows1, grids2, rows2, batch_size):
+        return np.concatenate([
+            model.score_pairs(grids1[rows1[lo : lo + batch_size]],
+                              grids2[rows2[lo : lo + batch_size]])
+            for lo in range(0, len(rows1), batch_size)
+        ])
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("single", [False, True])
+    def test_bitwise_equal_to_score_pairs(self, cfg, single, monkeypatch):
+        # duplicated, unsorted rows; 23 pairs in batches of 4; with `single`
+        # every pair shares one query row
+        model = self.model(cfg)
+        rng = np.random.default_rng(8)
+        grids1, grids2 = rng.normal(size=(6, 3, 8)), rng.normal(size=(5, 3, 8))
+        rows1 = np.full(23, 4) if single else rng.integers(0, 6, size=23)
+        rows2 = rng.integers(0, 5, size=23)
+        want = self.per_batch(model, grids1, rows1, grids2, rows2, 4)
+        real, branched = model.branch, []
+
+        def branch(grids):
+            branched.append(len(grids))
+            return real(grids)
+
+        monkeypatch.setattr(model, "branch", branch)
+        got = score_rows(model, grids1, rows1, grids2, rows2, batch_size=4)
+        np.testing.assert_array_equal(got, want)
+        # each distinct row runs the branch once
+        assert sum(branched) == len(np.unique(rows1)) + len(np.unique(rows2))
+        assert max(branched) <= 4
+
+    def test_no_rows(self):
+        model = self.model(dict(blocks=1))
+        grids = np.zeros((2, 3, 8))
+        assert score_rows(model, grids, [], grids, []).shape == (0,)
+
+    def test_branch_rejects_wrong_grid_shape(self):
+        model = self.model(dict(blocks=1))
+        for bad in (np.zeros((2, 4, 8)), np.zeros((2, 3, 7)), np.zeros((3, 8))):
+            with pytest.raises(nk.ShapeError):
+                model.branch(bad)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_forward_logits_is_fuse_of_branches(self, cfg):
+        model = self.model(cfg)
+        rng = np.random.default_rng(9)
+        g1, g2 = rng.normal(size=(5, 3, 8)), rng.normal(size=(5, 3, 8))
+        np.testing.assert_array_equal(
+            model.forward_logits(g1, g2).data,
+            model.fuse_logits(model.branch(g1), model.branch(g2)).data,
+        )
 
 
 class TestMetrics:
@@ -239,3 +314,70 @@ class TestCheckpoints:
         np.testing.assert_array_equal(
             model.score_pairs(g1, g2), loaded.score_pairs(g1, g2)
         )
+        # written through temporary files that are moved into place
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m.json"]
+        assert header["blob_bytes"] == (tmp_path / "m.bin").stat().st_size
+
+
+@pytest.fixture
+def saved(tmp_path):
+    model = ComparatorModel(small_cfg(), seed=3)
+    blob, head = tmp_path / "m.bin", tmp_path / "m.json"
+    save_checkpoint(model, blob, head)
+    return blob, head
+
+
+class TestCheckpointIntegrity:
+    @pytest.mark.parametrize("edit", [
+        lambda b: b[:-8],  # truncated
+        lambda b: b + bytes(8),  # oversized
+        lambda b: b[:-1],  # not a whole number of f8 values
+    ], ids=["truncated", "oversized", "ragged"])
+    def test_length_checked(self, saved, edit):
+        blob, head = saved
+        blob.write_bytes(edit(blob.read_bytes()))
+        with pytest.raises(CheckpointError, match=re.escape(str(blob)) + ".*bytes"):
+            load_checkpoint(blob, head)
+
+    def test_checksum_checked(self, saved):
+        blob, head = saved
+        data = bytearray(blob.read_bytes())
+        data[100] ^= 0x01  # one flipped bit, same length
+        blob.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=re.escape(str(blob)) + ".*sha256"):
+            load_checkpoint(blob, head)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["arrays"].update({"x_pos": [3, 8]}),  # wrong shape
+        lambda h: h["arrays"].pop("bn2.beta"),  # missing array
+        lambda h: h["config"].update({"mlp_hidden": 16}),  # config of another model
+    ], ids=["shape", "missing", "config"])
+    def test_shapes_checked_against_built_model(self, saved, edit):
+        blob, head = saved
+        header = json.loads(head.read_text())
+        edit(header)
+        head.write_text(json.dumps(header))
+        with pytest.raises(CheckpointError, match=re.escape(str(head)) + ".*shape"):
+            load_checkpoint(blob, head)
+
+    def test_declared_length_checked_against_shapes(self, saved):
+        blob, head = saved
+        header = json.loads(head.read_text())
+        header["blob_bytes"] += 8
+        head.write_text(json.dumps(header))
+        with pytest.raises(CheckpointError, match=re.escape(str(head)) + ".*blob_bytes"):
+            load_checkpoint(blob, head)
+
+    def test_unparsable_header_rejected(self, saved):
+        blob, head = saved
+        head.write_text(head.read_text()[:-10])
+        with pytest.raises(CheckpointError, match=re.escape(str(head))):
+            load_checkpoint(blob, head)
+
+    def test_header_without_integrity_fields_rejected(self, saved):
+        blob, head = saved
+        header = json.loads(head.read_text())
+        del header["blob_sha256"]
+        head.write_text(json.dumps(header))
+        with pytest.raises(CheckpointError, match=re.escape(str(head))):
+            load_checkpoint(blob, head)

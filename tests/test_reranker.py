@@ -254,6 +254,28 @@ class TestScorers:
         b = ModelScorer(model, batch_size=100).score(g1, g2)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_model_scorer_meta_dedupes_without_changing_scores(self, monkeypatch):
+        cfg = ComparatorConfig(depth=5, tokens=3, heads=1)
+        model = ComparatorModel(cfg, seed=0)
+        rng = np.random.default_rng(6)
+        model.mlp_w[3].data = rng.normal(size=model.mlp_w[3].data.shape)
+        queries, neighbors = rng.normal(size=(3, 3, 5)), rng.normal(size=(4, 3, 5))
+        meta = [(int(q), int(n)) for q, n in zip(rng.integers(0, 3, 17), rng.integers(0, 4, 17))]
+        g1 = queries[[q for q, _ in meta]]
+        g2 = neighbors[[n for _, n in meta]]
+        scorer = ModelScorer(model, batch_size=5)
+        real, branched = model.branch, []
+        def branch(grids):
+            branched.append(len(grids))
+            return real(grids)
+
+        monkeypatch.setattr(model, "branch", branch)
+        with_meta = scorer.score(g1, g2, meta)
+        assert sum(branched) == len({q for q, _ in meta}) + len({n for _, n in meta})
+        np.testing.assert_array_equal(with_meta, scorer.score(g1, g2))
+        np.testing.assert_array_equal(with_meta, np.concatenate(
+            [model.score_pairs(g1[lo : lo + 5], g2[lo : lo + 5]) for lo in range(0, 17, 5)]))
+
 
 class TestBaselinesAndDiagnostics:
     def test_knn_matches_bruteforce_vote(self, world):
