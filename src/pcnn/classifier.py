@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomicio import atomic_open
+
 PROB_SUM_TOL = 1e-4
 
 
@@ -116,9 +118,9 @@ class SyntheticClassifier:
 
 def save_outputs(output, matrix_path, sidecar_path):
     mat = output.probs.astype("<f4")
-    with open(matrix_path, "wb") as fh:
+    with atomic_open(matrix_path, "wb") as fh:
         fh.write(mat.tobytes())
-    with open(sidecar_path, "w") as fh:
+    with atomic_open(sidecar_path) as fh:
         json.dump(
             {
                 "split": output.split,

@@ -11,6 +11,7 @@ import os
 import sys
 
 from . import comparator, pairsampler, reranker
+from .atomicio import atomic_open
 from .comparator import load_checkpoint
 from .embedstore import EmbeddingStore
 from .experiment import ExperimentConfig, prepare, run, train_comparator
@@ -38,7 +39,7 @@ def cmd_synth(args):
     pipe = prepare(cfg, args.seed)
     out = _seed_dir(cfg, args.seed)
     pipe.store.save(os.path.join(out, "manifest.json"), os.path.join(out, "payload.bin"))
-    with open(os.path.join(out, "centroids.json"), "w") as fh:
+    with atomic_open(os.path.join(out, "centroids.json")) as fh:
         json.dump(pipe.centroids.tolist(), fh)
     print(json.dumps({"manifest": os.path.join(out, "manifest.json"),
                       "records": {s: pipe.store.size(s) for s in ("train", "test")}}))
@@ -107,7 +108,7 @@ def cmd_train(args):
         os.path.join(out, "checkpoint.json"),
         extra={"seed": args.seed, "selected_epoch": report.selected_epoch},
     )
-    with open(os.path.join(out, "train_report.json"), "w") as fh:
+    with atomic_open(os.path.join(out, "train_report.json")) as fh:
         fh.write(report.to_json())
     print(json.dumps({"selected_epoch": report.selected_epoch,
                       "f1": report.epochs[report.selected_epoch]["f1"]}))
@@ -204,7 +205,7 @@ def cmd_explain(args):
                         raise KeyError(f"dangling neighbor id {nid}")
                 entry["class_name"] = store.manifest.class_names[entry["class"]]
             docs.append(doc)
-    with open(args.out, "w") as fh:
+    with atomic_open(args.out) as fh:
         json.dump({"explanations": docs}, fh, indent=2)
     print(json.dumps({"queries": len(docs), "out": args.out}))
 

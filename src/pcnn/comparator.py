@@ -10,12 +10,12 @@ binary cross-entropy; the checkpoint with the best eval F1 is kept.
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numkernel as nk
+from .atomicio import atomic_open
 from .pairsampler import POSITIVE
 
 class TrainingError(RuntimeError):
@@ -348,8 +348,8 @@ def one_cycle_lr(step, total_steps, cfg):
 
 def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
     """Momentum-SGD training; returns the best-F1 checkpoint and a report."""
-    if not train_pairs.pairs or not eval_pairs.pairs:
-        raise ValueError("both pair sets must be non-empty")
+    if len(train_pairs.pairs) < 2 or not eval_pairs.pairs:
+        raise ValueError("need >= 2 train pairs (batch norm) and >= 1 eval pair")
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     velocity = {name: np.zeros_like(t.data) for name, t in params}
@@ -367,7 +367,7 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
-        correct = 0
+        correct = trained = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             if len(idx) < 2:  # batch norm cannot take a single sample
@@ -396,12 +396,13 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
                 t.data = t.data - lr * v
             epoch_loss += float(loss.data) * len(idx)
             correct += int(np.sum((logits.data > 0) == (y == 1)))
+            trained += len(idx)
             step += 1
         metrics = evaluate_binary(model, store, eval_pairs, threshold, cfg.batch_size)
         row = {
             "epoch": epoch,
-            "loss": epoch_loss / n,
-            "train_accuracy": correct / n,
+            "loss": epoch_loss / trained,
+            "train_accuracy": correct / trained,
             "eval_accuracy": metrics.accuracy,
             "precision": metrics.precision,
             "recall": metrics.recall,
@@ -420,14 +421,6 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
 
 class CheckpointError(ValueError):
     """A checkpoint whose header or blob does not match what it declares."""
-
-
-def _write_atomic(path, data):
-    """Write bytes to a temporary file beside `path`, then move it into place."""
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def save_checkpoint(model, path_blob, path_header, extra=None):
@@ -452,8 +445,10 @@ def save_checkpoint(model, path_blob, path_header, extra=None):
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "extra": extra or {},
     }
-    _write_atomic(path_blob, blob)
-    _write_atomic(path_header, json.dumps(header, indent=2).encode())
+    with atomic_open(path_blob, "wb") as fh:
+        fh.write(blob)
+    with atomic_open(path_header) as fh:
+        fh.write(json.dumps(header, indent=2))
 
 
 def load_checkpoint(path_blob, path_header):

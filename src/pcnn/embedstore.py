@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomicio import atomic_open
+
 SPLITS = ("train", "test")
 
 
@@ -71,6 +73,10 @@ class EmbeddingStore:
     def __init__(self, manifest, grids):
         self.manifest = manifest
         self._grids = grids  # split -> (N, T, D) float64
+        # split -> (N, D) token means; scorers and retrieval index them per call
+        self._pooled = {s: g.mean(axis=1) for s, g in grids.items()}
+        for pooled in self._pooled.values():
+            pooled.flags.writeable = False
         self._by_id = {}
         self._class_lists = {}
         for split in SPLITS:
@@ -113,7 +119,7 @@ class EmbeddingStore:
         return self.grid(split, record_id).mean(axis=0)
 
     def pooled_all(self, split):
-        return self._grids[split].mean(axis=1)
+        return self._pooled[split]
 
     def by_class(self, split, class_id):
         """Record ids of a class in ascending order."""
@@ -171,9 +177,9 @@ class EmbeddingStore:
         return b"".join(parts)
 
     def save(self, manifest_path, payload_path):
-        with open(payload_path, "wb") as fh:
+        with atomic_open(payload_path, "wb") as fh:
             fh.write(self.export_payload())
-        with open(manifest_path, "w") as fh:
+        with atomic_open(manifest_path) as fh:
             fh.write(self.manifest.to_json())
 
 

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import comparator, pairsampler, reranker
+from .atomicio import atomic_open
 from .classifier import SyntheticClassifier
 from .comparator import ComparatorConfig, ComparatorModel, TrainConfig
 from .embedstore import EmbeddingStore
@@ -197,7 +198,7 @@ def run_seed(cfg, seed, out_dir):
         os.path.join(out_dir, "checkpoint.json"),
         extra={"seed": seed, "selected_epoch": report.selected_epoch, "f1": binary["f1"]},
     )
-    with open(os.path.join(out_dir, "train_report.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "train_report.json")) as fh:
         fh.write(report.to_json())
     reranker.save_results(rr.results_soft, os.path.join(out_dir, "rerank_soft.jsonl"))
     reranker.save_results(rr.results_hard, os.path.join(out_dir, "rerank_hard.jsonl"))
@@ -217,7 +218,7 @@ def run_seed(cfg, seed, out_dir):
         "topq_ceiling": ceiling,
         "selected_epoch": report.selected_epoch,
     }
-    with open(os.path.join(out_dir, "results.json"), "w") as fh:
+    with atomic_open(os.path.join(out_dir, "results.json")) as fh:
         json.dump(results, fh, indent=2)
     return results
 
@@ -246,6 +247,6 @@ def run(cfg):
         "mean_comparator_queries": agg(["rerank", "mean_comparator_queries"]),
         "per_seed": per_seed,
     }
-    with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
+    with atomic_open(os.path.join(cfg.output_dir, "summary.json")) as fh:
         json.dump(summary, fh, indent=2)
     return summary

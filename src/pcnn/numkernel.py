@@ -499,55 +499,66 @@ class AttentionParams:
         return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
 
 
-def _split_heads(x, heads):
-    b, s, d = x.data.shape
-    return transpose(reshape(x, (b, s, heads, d // heads)), (0, 2, 1, 3))
+def _attend(q, k, v, heads):
+    """softmax(q_h @ k_h^T / sqrt(dh)) @ v_h per head over (B, S|T, D)
+    projections; one tape node.
 
-
-def _merge_heads(x):
-    b, h, s, dh = x.data.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, s, h * dh))
-
-
-def _attend(q, k, v, scale):
-    """softmax(q @ k^T * scale) @ v over (B, H, S|T, dh) heads; one tape node.
-
-    The backward goes through the softmax Jacobian in closed form, so the
-    (B, H, S, T) probabilities are the only intermediate kept.
+    Heads are split and merged on the raw arrays, and the backward goes
+    through the softmax Jacobian in closed form, so the (B, H, S, T)
+    probabilities are the only intermediate kept.
     """
-    scores = (q.data @ np.swapaxes(k.data, -1, -2)) * scale
+    (b, s, d), t = q.data.shape, k.data.shape[1]
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x, n):  # (B, n, D) -> (B, H, n, dh)
+        return x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x, n):  # (B, H, n, dh) -> (B, n, D)
+        return x.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qh, kh, vh = split(q.data, s), split(k.data, t), split(v.data, t)
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
-    out_data = probs @ v.data
+    out_data = merge(probs @ vh, s)
 
     def back(g):
+        gh = split(g, s)
         if v.requires_grad:
-            _accum(v, np.swapaxes(probs, -1, -2) @ g)
+            _accum(v, merge(np.swapaxes(probs, -1, -2) @ gh, t))
         if not (q.requires_grad or k.requires_grad):
             return
-        dp = g @ np.swapaxes(v.data, -1, -2)
+        dp = gh @ np.swapaxes(vh, -1, -2)
         ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
         if q.requires_grad:
-            _accum(q, ds @ k.data)
+            _accum(q, merge(ds @ kh, s))
         if k.requires_grad:
-            _accum(k, np.swapaxes(ds, -1, -2) @ q.data)
+            _accum(k, merge(np.swapaxes(ds, -1, -2) @ qh, t))
 
     return _make(out_data, (q, k, v), back)
 
 
-def mhsa(x, params, heads):
-    """Scaled-dot-product multi-head self-attention, no residual."""
-    x = _as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"mhsa expects (B, S, D), got {x.data.shape}")
-    d = x.data.shape[-1]
+def attention(xq, xkv, params, heads):
+    """Multi-head scaled-dot-product attention of xq's rows over xkv's rows,
+    no residual: q from xq, k and v from xkv, then the output projection."""
+    xq, xkv = _as_tensor(xq), _as_tensor(xkv)
+    if xq.data.ndim != 3 or xkv.data.ndim != 3:
+        raise ShapeError(
+            f"attention expects (B, S, D) inputs, got {xq.data.shape} and {xkv.data.shape}"
+        )
+    d = xq.data.shape[-1]
     if d % heads != 0:
         raise ConfigError(f"feature depth {d} not divisible by {heads} heads")
-    q = _split_heads(linear(x, params.wq, params.bq), heads)
-    k = _split_heads(linear(x, params.wk, params.bk), heads)
-    v = _split_heads(linear(x, params.wv, params.bv), heads)
-    ctx = _merge_heads(_attend(q, k, v, 1.0 / np.sqrt(d // heads)))
-    return linear(ctx, params.wo, params.bo)
+    q = linear(xq, params.wq, params.bq)
+    k = linear(xkv, params.wk, params.bk)
+    v = linear(xkv, params.wv, params.bv)
+    return linear(_attend(q, k, v, heads), params.wo, params.bo)
+
+
+def mhsa(x, params, heads):
+    """Scaled-dot-product multi-head self-attention, no residual."""
+    return attention(x, x, params, heads)
 
 
 def cross_attention(y1, y2, params, heads):
@@ -559,20 +570,9 @@ def cross_attention(y1, y2, params, heads):
     y1, y2 = _as_tensor(y1), _as_tensor(y2)
     if y1.data.shape != y2.data.shape:
         raise ShapeError(f"cross_attention: {y1.data.shape} vs {y2.data.shape}")
-    if y1.data.ndim != 3:
-        raise ShapeError(f"cross_attention expects (B, S, D), got {y1.data.shape}")
-    d = y1.data.shape[-1]
-    if d % heads != 0:
-        raise ConfigError(f"feature depth {d} not divisible by {heads} heads")
-    scale = 1.0 / np.sqrt(d // heads)
 
     def fuse(a, b):
-        cls = slice_axis(a, 1, 0, 1)
-        q = _split_heads(linear(cls, params.wq, params.bq), heads)
-        k = _split_heads(linear(b, params.wk, params.bk), heads)
-        v = _split_heads(linear(b, params.wv, params.bv), heads)
-        ctx = _merge_heads(_attend(q, k, v, scale))
-        new_cls = linear(ctx, params.wo, params.bo)
+        new_cls = attention(slice_axis(a, 1, 0, 1), b, params, heads)
         return concat([new_cls, slice_axis(a, 1, 1, a.data.shape[1])], axis=1)
 
     return fuse(y1, y2), fuse(y2, y1)

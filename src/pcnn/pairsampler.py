@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomicio import atomic_open
 from .classifier import top_q
 from .nnindex import InsufficientCandidatesError
 
@@ -188,7 +189,7 @@ def pair_count_audit(pairset, query_ids, q):
 
 
 def save_pairs(pairset, path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         header = {
             "split": pairset.split,
             "q": pairset.config.q,

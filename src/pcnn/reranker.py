@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomicio import atomic_open
 from .classifier import top_q
 from .comparator import score_rows
 
@@ -68,12 +69,9 @@ class RankedResult:
 
 
 # ------------------------------------------------------------- scorers
-
-
-def _first_rows(ids):
-    """Row of each id's first occurrence, one entry per id."""
-    _, first, at = np.unique(ids, return_index=True, return_inverse=True)
-    return first[at]
+#
+# A scorer's `score(rows1, rows2, *, store, query_split)` returns one score
+# per pair (store.grids(query_split)[rows1[i]], store.grids("train")[rows2[i]]).
 
 
 class ModelScorer:
@@ -83,46 +81,26 @@ class ModelScorer:
         self.model = model
         self.batch_size = batch_size
 
-    def score(self, grids1, grids2, meta=None):
-        """Eval-mode scores of the pairs (grids1[i], grids2[i]).
-
-        `meta`, when given, holds each row's (query id, neighbour id): rows
-        with the same query id must carry the same grids1 grid, rows with the
-        same neighbour id the same grids2 grid, and each distinct record
-        goes through the comparator's branch once. Without `meta` every row
-        counts as distinct. The scores do not depend on `meta`.
-        """
-        if meta is None:
-            rows1 = rows2 = np.arange(len(grids1))
-        else:
-            rows1 = _first_rows([q for q, _ in meta])
-            rows2 = _first_rows([n for _, n in meta])
-        return score_rows(self.model, grids1, rows1, grids2, rows2, self.batch_size)
+    def score(self, rows1, rows2, *, store, query_split):
+        """Eval-mode scores; each distinct row goes through the branch once."""
+        return score_rows(self.model, store.grids(query_split), rows1,
+                          store.grids("train"), rows2, self.batch_size)
 
 
 class OracleScorer:
     """Ground-truth comparator: 1 iff the pair shares a class."""
 
-    def __init__(self, store, query_split="test"):
-        self.store = store
-        self.query_split = query_split
-
-    def score(self, grids1, grids2, meta):
-        out = np.empty(len(meta))
-        for i, (qid, nid) in enumerate(meta):
-            same = self.store.class_of(self.query_split, qid) == self.store.class_of(
-                "train", nid
-            )
-            out[i] = 1.0 if same else 0.0
-        return out
+    def score(self, rows1, rows2, *, store, query_split):
+        same = store.labels(query_split)[rows1] == store.labels("train")[rows2]
+        return same.astype(np.float64)
 
 
 class CosineScorer:
     """Cosine similarity of pooled vectors, mapped from [-1, 1] to [0, 1]."""
 
-    def score(self, grids1, grids2, meta=None):
-        a = grids1.mean(axis=1)
-        b = grids2.mean(axis=1)
+    def score(self, rows1, rows2, *, store, query_split):
+        a = store.pooled_all(query_split)[rows1]
+        b = store.pooled_all("train")[rows2]
         num = np.einsum("ij,ij->i", a, b)
         den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
         cos = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
@@ -167,25 +145,18 @@ def _finalize(qid, entries, mode):
     return RankedResult(qid, entries, best.class_id, count)
 
 
-# pairs gathered per scorer call: bounds the grids held at once; a multiple
-# of ModelScorer's default batch, so its batches are the same as in one call
-_GATHER = 4096
-
-
 def _rerank_queries(store, output, index, scorer, cfg, qids, query_split):
-    """Re-rank the given queries; their pairs are scored in gathered chunks."""
+    """Re-rank the given queries; all their pairs go to one scorer call."""
     per_query = _candidates(store, index, query_split, qids, output, cfg)
     pairs = [
         (qid, nid) for qid, entries in per_query for e in entries for nid in e.neighbor_ids
     ]
     if pairs:
-        rows1 = store.rows(query_split, [q for q, _ in pairs])
-        rows2 = store.rows("train", [n for _, n in pairs])
-        grids1, grids2 = store.grids(query_split), store.grids("train")
-        scores = np.empty(len(pairs))
-        for lo in range(0, len(pairs), _GATHER):
-            sl = slice(lo, lo + _GATHER)
-            scores[sl] = scorer.score(grids1[rows1[sl]], grids2[rows2[sl]], pairs[sl])
+        scores = scorer.score(
+            store.rows(query_split, [q for q, _ in pairs]),
+            store.rows("train", [n for _, n in pairs]),
+            store=store, query_split=query_split,
+        )
         start = 0
         for _, entries in per_query:
             for e in entries:
@@ -245,7 +216,7 @@ def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
 
 
 def save_results(results, path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for r in results:
             fh.write(json.dumps(r.to_json_obj()) + "\n")
 
@@ -258,10 +229,9 @@ def knn_classify(store, index, scorer, qid, k=20, query_split="test"):
     pooled = store.pooled(query_split, qid)
     exclude = {qid} if query_split == "train" else ()
     hits = index.topk_global(pooled, k, exclude=exclude)
-    qgrid = store.grid(query_split, qid)
-    g1 = np.stack([qgrid] * len(hits))
-    g2 = np.stack([store.grid("train", nid) for nid, _, _ in hits])
-    scores = scorer.score(g1, g2, [(qid, nid) for nid, _, _ in hits])
+    rows1 = store.rows(query_split, [qid] * len(hits))
+    rows2 = store.rows("train", [nid for nid, _, _ in hits])
+    scores = scorer.score(rows1, rows2, store=store, query_split=query_split)
     votes, score_sum = {}, {}
     for (nid, _, cid), s in zip(hits, scores):
         votes[cid] = votes.get(cid, 0) + 1

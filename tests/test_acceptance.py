@@ -373,7 +373,7 @@ def test_c03_oracle_ceiling_equivalence():
         out = clf.predict_split(store, "test")
         index = ClassIndex.build(store)
         k = 4
-        results = rerank_split(store, out, index, OracleScorer(store),
+        results = rerank_split(store, out, index, OracleScorer(),
                                RerankConfig(k=k, mode="soft"))
         acc = float(np.mean(
             [r.predicted == store.class_of("test", r.query_id) for r in results]
@@ -480,12 +480,11 @@ def test_c11_knn_agreement():
         q = store.pooled("test", qid)
         d = np.sum((pooled_train - q) ** 2, axis=1)
         order = sorted(range(len(ids)), key=lambda i: (d[i], ids[i]))[:k]
-        qg = store.grid("test", qid)
+        qrow = store.rows("test", [qid])
         votes, ssum = {}, {}
         for i in order:
             c = int(labels[i])
-            s = float(scorer.score(qg[None], store.grid("train", int(ids[i]))[None],
-                                   [(qid, int(ids[i]))])[0])
+            s = float(scorer.score(qrow, np.array([i]), store=store, query_split="test")[0])
             votes[c] = votes.get(c, 0) + 1
             ssum[c] = ssum.get(c, 0.0) + s
         want = max(votes, key=lambda c: (votes[c], ssum[c] / votes[c], -c))

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pcnn.comparator import (
     load_checkpoint,
     metrics_from_scores,
     one_cycle_lr,
+    pairset_rows,
     save_checkpoint,
     score_pairset,
     score_rows,
@@ -280,6 +282,31 @@ class TestTraining:
         best = max(f1s)
         assert f1s[report.selected_epoch] == best
         assert report.selected_epoch == f1s.index(best)  # ties keep earliest
+
+    def test_report_averages_over_trained_samples(self, tiny_task):
+        # n = batch_size + 1: the single-sample last batch is skipped (batch
+        # norm), so loss and accuracy average over the batch_size trained pairs
+        store, train_pairs, eval_pairs = tiny_task
+        cfg = TrainConfig(epochs=1, batch_size=4, max_lr=0.02, seed=5)
+        subset = replace(train_pairs, pairs=train_pairs.pairs[:5])
+        _, report = train(ComparatorModel(small_cfg(), seed=2), store, subset, eval_pairs, cfg)
+        idx = np.random.default_rng(cfg.seed).permutation(5)[:4]
+        rows1, rows2 = pairset_rows(store, subset)
+        y = np.array([subset.pairs[i].label for i in idx], dtype=np.float64)
+        with nk.Tape():
+            logits = ComparatorModel(small_cfg(), seed=2).forward_logits(
+                store.grids(subset.split)[rows1[idx]], store.grids("train")[rows2[idx]], "train")
+            loss = nk.bce_with_logits(logits, y)
+        row = report.epochs[0]
+        assert row["loss"] == pytest.approx(float(loss.data), rel=1e-12)
+        assert row["train_accuracy"] == np.sum((logits.data > 0) == (y == 1)) / 4
+
+    def test_rejects_a_single_train_pair(self, tiny_task):
+        store, train_pairs, eval_pairs = tiny_task
+        one = replace(train_pairs, pairs=train_pairs.pairs[:1])
+        with pytest.raises(ValueError, match="2 train pairs"):
+            train(ComparatorModel(small_cfg(), seed=0), store, one, eval_pairs,
+                  TrainConfig(epochs=1, batch_size=4))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_lr_raises(self, tiny_task):

@@ -115,6 +115,16 @@ class TestPooled:
         b = build_store("x", ["a"], records, {"train": grid[perm][None], "test": np.empty((0, 6, 4))})
         np.testing.assert_allclose(a.pooled("train", 0), b.pooled("train", 0), atol=1e-12)
 
+    def test_pooled_all_rows_are_the_pooled_records_and_read_only(self, small_store):
+        store, _ = small_store
+        for split in ("train", "test"):
+            pooled = store.pooled_all(split)
+            for row, rid in enumerate(store.ids(split)):
+                want = store.grid(split, rid).mean(axis=0)
+                np.testing.assert_array_equal(pooled[row], want)
+            with pytest.raises(ValueError):
+                pooled[0, 0] = 1.0
+
 
 class TestByClass:
     def test_ascending_ids(self, small_store):

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from pcnn import reranker
 from pcnn.classifier import SyntheticClassifier, top_q
 from pcnn.comparator import ComparatorConfig, ComparatorModel
+from pcnn.embedstore import build_store
 from pcnn.nnindex import ClassIndex
 from pcnn.reranker import (
     CosineScorer,
@@ -31,8 +31,23 @@ class FixedScorer:
         self.table = table
         self.default = default
 
-    def score(self, grids1, grids2, meta):
-        return np.array([self.table.get(m, self.default) for m in meta])
+    def score(self, rows1, rows2, *, store, query_split):
+        ids1, ids2 = store.ids(query_split), store.ids("train")
+        return np.array([self.table.get((ids1[r1], ids2[r2]), self.default)
+                         for r1, r2 in zip(rows1, rows2)])
+
+
+def grid_store(grids1, grids2):
+    """Store whose test split holds grids1 and train split grids2, in order."""
+    records = {"test": [(i, 0) for i in range(len(grids1))],
+               "train": [(i, 0) for i in range(len(grids2))]}
+    return build_store("grids", ["c0"], records, {"test": grids1, "train": grids2})
+
+
+def score_all(scorer, store):
+    """Scores of the pairs (test row i, train row i)."""
+    rows = np.arange(store.size("test"))
+    return scorer.score(rows, rows, store=store, query_split="test")
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +65,27 @@ class TestRerank:
         # a perfect comparator must fix every query whose gt is in the top-K
         store, index, out = world
         cfg = RerankConfig(k=3, mode="hard")
-        results = rerank_split(store, out, index, OracleScorer(store), cfg)
+        results = rerank_split(store, out, index, OracleScorer(), cfg)
         ceiling = topq_ceiling(store, out, [3])[3]
         acc = np.mean(
             [r.predicted == store.class_of("test", r.query_id) for r in results]
         )
         assert acc == pytest.approx(ceiling)
+
+    def test_oracle_on_train_split_reaches_ceiling(self, world):
+        # the oracle compares train labels with train labels; self-matches
+        # are excluded from retrieval
+        store, index, _ = world
+        _, centroids = toy_store(classes=5, per_class=8, seed=6)
+        clf = SyntheticClassifier(centroids, tau=1.0, corruption_rate=0.4,
+                                  corruption_q=3, seed=3)
+        out = clf.predict_split(store, "train")
+        cfg = RerankConfig(k=3, mode="hard")
+        results = rerank_split(store, out, index, OracleScorer(), cfg, query_split="train")
+        acc = np.mean([r.predicted == store.class_of("train", r.query_id) for r in results])
+        assert acc == topq_ceiling(store, out, [3], query_split="train")[3]
+        for r in results:
+            assert all(r.query_id not in e.neighbor_ids for e in r.entries)
 
     def test_soft_reduces_to_c_with_unit_scores(self, world):
         # constant score 1 makes prob x score the classifier ranking itself
@@ -160,7 +190,7 @@ class TestEvaluate:
     def test_counts_and_modes(self, world):
         store, index, out = world
         report = evaluate_rerank(
-            store, out, index, OracleScorer(store), RerankConfig(k=3)
+            store, out, index, OracleScorer(), RerankConfig(k=3)
         )
         assert report.mean_comparator_queries == 3.0
         assert report.accuracy_hard >= report.accuracy_c
@@ -186,26 +216,6 @@ class TestEvaluate:
         for r_soft, r_hard in zip(report.results_soft, report.results_hard):
             assert all(a is not b for a, b in zip(r_soft.entries, r_hard.entries))
 
-    def test_chunked_scoring_matches_one_gather(self, world, monkeypatch):
-        # chunks a multiple of the scorer's batch leave every batch as is
-        store, index, out = world
-        model = ComparatorModel(ComparatorConfig(depth=5, tokens=3, heads=1), seed=0)
-        model.mlp_w[3].data = np.random.default_rng(4).normal(size=model.mlp_w[3].data.shape)
-        scorer = ModelScorer(model, batch_size=4)
-        cfg = RerankConfig(k=3, n_neighbors=2)
-        whole = rerank_split(store, out, index, scorer, cfg)
-        real, sizes = scorer.score, []
-
-        def score(grids1, grids2, meta):
-            sizes.append(len(grids1))
-            return real(grids1, grids2, meta)
-
-        monkeypatch.setattr(scorer, "score", score)
-        monkeypatch.setattr(reranker, "_GATHER", 8)
-        chunked = rerank_split(store, out, index, scorer, cfg)
-        assert sizes == [8] * (store.size("test") * 3 * 2 // 8)
-        assert [r.to_json_obj() for r in chunked] == [r.to_json_obj() for r in whole]
-
     def test_save_results_jsonl(self, world, tmp_path):
         store, index, out = world
         results = rerank_split(
@@ -229,51 +239,60 @@ class TestEvaluate:
 class TestScorers:
     def test_cosine_identical_is_one(self):
         g = np.random.default_rng(0).normal(size=(3, 2, 4))
-        s = CosineScorer().score(g, g)
+        s = score_all(CosineScorer(), grid_store(g, g))
         np.testing.assert_allclose(s, 1.0, atol=1e-12)
 
     def test_cosine_opposite_is_zero(self):
         g = np.random.default_rng(1).normal(size=(3, 2, 4))
-        s = CosineScorer().score(g, -g)
+        s = score_all(CosineScorer(), grid_store(g, -g))
         np.testing.assert_allclose(s, 0.0, atol=1e-12)
 
     def test_cosine_range(self):
         rng = np.random.default_rng(2)
-        s = CosineScorer().score(rng.normal(size=(50, 2, 4)), rng.normal(size=(50, 2, 4)))
+        store = grid_store(rng.normal(size=(50, 2, 4)), rng.normal(size=(50, 2, 4)))
+        s = score_all(CosineScorer(), store)
         assert np.all((s >= 0) & (s <= 1))
 
-    def test_model_scorer_batches_consistently(self, world):
-        store, _, _ = world
+    def test_cosine_reads_the_given_rows(self):
+        rng = np.random.default_rng(5)
+        store = grid_store(rng.normal(size=(4, 2, 4)), rng.normal(size=(6, 2, 4)))
+        rows1, rows2 = np.array([3, 0, 3, 1]), np.array([5, 5, 2, 0])
+        s = CosineScorer().score(rows1, rows2, store=store, query_split="test")
+        a = store.grids("test")[rows1].mean(axis=1)
+        b = store.grids("train")[rows2].mean(axis=1)
+        want = 0.5 * (1 + np.sum(a * b, axis=1)
+                      / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)))
+        np.testing.assert_allclose(s, want, rtol=1e-12)
+
+    def test_model_scorer_batches_consistently(self):
         cfg = ComparatorConfig(depth=5, tokens=3, heads=1)
         model = ComparatorModel(cfg, seed=0)
         rng = np.random.default_rng(3)
         model.mlp_w[3].data = rng.normal(size=model.mlp_w[3].data.shape)
-        g1 = rng.normal(size=(10, 3, 5))
-        g2 = rng.normal(size=(10, 3, 5))
-        a = ModelScorer(model, batch_size=3).score(g1, g2)
-        b = ModelScorer(model, batch_size=100).score(g1, g2)
+        store = grid_store(rng.normal(size=(10, 3, 5)), rng.normal(size=(10, 3, 5)))
+        a = score_all(ModelScorer(model, batch_size=3), store)
+        b = score_all(ModelScorer(model, batch_size=100), store)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_model_scorer_meta_dedupes_without_changing_scores(self, monkeypatch):
+    def test_model_scorer_branches_each_distinct_row_once(self, monkeypatch):
         cfg = ComparatorConfig(depth=5, tokens=3, heads=1)
         model = ComparatorModel(cfg, seed=0)
         rng = np.random.default_rng(6)
         model.mlp_w[3].data = rng.normal(size=model.mlp_w[3].data.shape)
-        queries, neighbors = rng.normal(size=(3, 3, 5)), rng.normal(size=(4, 3, 5))
-        meta = [(int(q), int(n)) for q, n in zip(rng.integers(0, 3, 17), rng.integers(0, 4, 17))]
-        g1 = queries[[q for q, _ in meta]]
-        g2 = neighbors[[n for _, n in meta]]
+        store = grid_store(rng.normal(size=(3, 3, 5)), rng.normal(size=(4, 3, 5)))
+        rows1, rows2 = rng.integers(0, 3, 17), rng.integers(0, 4, 17)
         scorer = ModelScorer(model, batch_size=5)
         real, branched = model.branch, []
+
         def branch(grids):
             branched.append(len(grids))
             return real(grids)
 
         monkeypatch.setattr(model, "branch", branch)
-        with_meta = scorer.score(g1, g2, meta)
-        assert sum(branched) == len({q for q, _ in meta}) + len({n for _, n in meta})
-        np.testing.assert_array_equal(with_meta, scorer.score(g1, g2))
-        np.testing.assert_array_equal(with_meta, np.concatenate(
+        got = scorer.score(rows1, rows2, store=store, query_split="test")
+        assert sum(branched) == len(set(rows1.tolist())) + len(set(rows2.tolist()))
+        g1, g2 = store.grids("test")[rows1], store.grids("train")[rows2]
+        np.testing.assert_array_equal(got, np.concatenate(
             [model.score_pairs(g1[lo : lo + 5], g2[lo : lo + 5]) for lo in range(0, 17, 5)]))
 
 
