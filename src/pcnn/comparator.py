@@ -171,18 +171,78 @@ class ComparatorModel:
                 x = nk.add(x, nk.mhsa(x, p, cfg.heads))
         return x
 
-    def fuse_logits(self, x1, x2, mode="eval"):
-        """Logits of a batch of pairs from their two `branch` outputs: block
-        0's cross layers, blocks 1..L-1 in full, then the MLP head."""
+    def records(self, grids):
+        """Per-record work of a batch of (N, T, D) grids: a dict of tensors
+        with one row per grid, holding what each record brings to every pair
+        it is in, up to where the pair first matters.
+
+        That is block 0's first cross layer's projections of the branch
+        output: the CLS row's query "q" and every row's key "k" and value
+        "v". Deeper configs also keep the token rows ("tokens") to rebuild
+        per-pair states from. With no cross layer the whole model before the
+        head is per record, and "cls" holds each record's half of the head
+        input.
+        """
         cfg = self.cfg
-        for l in range(cfg.blocks):
-            if l:
+        x = self.branch(grids)
+        if not (cfg.blocks and cfg.cross_layers):
+            for l in range(1, cfg.blocks):
                 for p in self.self_attn[l]:
-                    x1 = nk.add(x1, nk.mhsa(x1, p, cfg.heads))
-                    x2 = nk.add(x2, nk.mhsa(x2, p, cfg.heads))
-            for p in self.cross_attn[l]:
-                x1, x2 = nk.cross_attention(x1, x2, p, cfg.heads)
-        h = nk.concat([self._branch_cls(x1), self._branch_cls(x2)], axis=1)
+                    x = nk.add(x, nk.mhsa(x, p, cfg.heads))
+            return {"cls": self._branch_cls(x)}
+        p = self.cross_attn[0][0]
+        recs = {
+            "q": nk.linear(nk.slice_axis(x, 1, 0, 1), p.wq, p.bq),
+            "k": nk.linear(x, p.wk, p.bk),
+            "v": nk.linear(x, p.wv, p.bv),
+        }
+        if cfg.blocks > 1 or cfg.cross_layers > 1:
+            recs["tokens"] = nk.slice_axis(x, 1, 1, x.shape[1])
+        return recs
+
+    def pair_logits(self, recs, i1, i2, mode="eval"):
+        """Logits of the pairs (record i1[j], record i2[j]) of `recs`.
+
+        The two sides of the pairs are stacked pair-major, row 2j for pair
+        j's first record and row 2j + 1 for its second, so both directions
+        of a cross layer run as one attention and the head input is one
+        reshape of the CLS rows.
+        """
+        cfg = self.cfg
+        i1, i2 = np.asarray(i1, dtype=np.intp), np.asarray(i2, dtype=np.intp)
+        shape = (len(i1), 2 * cfg.depth)
+        sides = np.stack([i1, i2], axis=1).ravel()
+        if "cls" in recs:
+            return self._head(nk.reshape(nk.gather(recs["cls"], sides), shape), mode)
+        # block 0's first cross layer: each CLS query over its partner's rows
+        partners = np.stack([i2, i1], axis=1).ravel()
+        cls = nk.attend(
+            nk.gather(recs["q"], sides), nk.gather(recs["k"], partners),
+            nk.gather(recs["v"], partners), self.cross_attn[0][0], cfg.heads,
+        )
+        if "tokens" in recs:
+            cls = self._pair_layers(cls, nk.gather(recs["tokens"], sides))
+        return self._head(nk.reshape(cls, shape), mode)
+
+    def _pair_layers(self, cls, tokens):
+        """The layers after block 0's first cross layer, on the stacked
+        per-pair states [cls, tokens]: each later block's self-attention,
+        then its cross layers. The last cross layer builds only the CLS rows
+        the head reads."""
+        cfg = self.cfg
+        partner = np.arange(cls.shape[0]) ^ 1  # the other side of the same pair
+        layers = [(l, m) for l in range(cfg.blocks) for m in range(cfg.cross_layers)]
+        for l, m in layers[1:]:
+            x = nk.concat([cls, tokens], axis=1)
+            if m == 0:
+                for p in self.self_attn[l]:
+                    x = nk.add(x, nk.mhsa(x, p, cfg.heads))
+                cls, tokens = nk.slice_axis(x, 1, 0, 1), nk.slice_axis(x, 1, 1, x.shape[1])
+            cls = nk.attention(cls, nk.gather(x, partner), self.cross_attn[l][m], cfg.heads)
+        return cls
+
+    def _head(self, h, mode):
+        """The MLP head on (B, 2D) pair features; (B,) logits."""
         h = nk.gelu(nk.batchnorm(nk.linear(h, self.mlp_w[0], self.mlp_b[0]), self.bn1, mode))
         h = nk.gelu(nk.batchnorm(nk.linear(h, self.mlp_w[1], self.mlp_b[1]), self.bn2, mode))
         h = nk.linear(h, self.mlp_w[2], self.mlp_b[2])
@@ -191,14 +251,16 @@ class ComparatorModel:
 
     def forward_logits(self, grids1, grids2, mode="eval"):
         """Logits for a batch of pairs; grids are (B, T, D) arrays."""
-        return self.fuse_logits(self.branch(grids1), self.branch(grids2), mode)
+        grids1, grids2 = np.asarray(grids1), np.asarray(grids2)
+        if grids1.shape != grids2.shape:
+            raise nk.ShapeError(f"pair grids {grids1.shape} vs {grids2.shape}")
+        b = len(grids1)
+        recs = self.records(np.concatenate([grids1, grids2]))
+        return self.pair_logits(recs, np.arange(b), np.arange(b, 2 * b), mode)
 
     def score_pairs(self, grids1, grids2):
         logits = self.forward_logits(grids1, grids2, mode="eval")
         return nk.sigmoid(logits).data
-
-    def forward_pair(self, grid1, grid2):
-        return float(self.score_pairs(grid1[None], grid2[None])[0])
 
 
 # ----------------------------------------------------------- evaluation
@@ -253,30 +315,41 @@ def metrics_from_scores(scores, labels, threshold=0.5):
     )
 
 
+def distinct_grids(grids1, rows1, grids2, rows2):
+    """The distinct grids among the pair sides (grids1[rows1[i]],
+    grids2[rows2[i]]), and each side's index into them. When both sides
+    index the same array, a row on both sides counts once."""
+    rows1, rows2 = np.asarray(rows1, dtype=np.intp), np.asarray(rows2, dtype=np.intp)
+    if grids1 is grids2:
+        distinct, at = np.unique(np.concatenate([rows1, rows2]), return_inverse=True)
+        return grids1[distinct], at[: len(rows1)], at[len(rows1) :]
+    distinct1, at1 = np.unique(rows1, return_inverse=True)
+    distinct2, at2 = np.unique(rows2, return_inverse=True)
+    return np.concatenate([grids1[distinct1], grids2[distinct2]]), at1, at2 + len(distinct1)
+
+
 def score_rows(model, grids1, rows1, grids2, rows2, batch_size=256):
     """Eval-mode scores of the pairs (grids1[rows1[i]], grids2[rows2[i]]).
 
-    Each distinct row of either side goes through `model.branch` once,
-    `batch_size` rows at a time; `fuse_logits` then runs on the gathered
-    branch outputs, `batch_size` pairs at a time. The scores are bitwise
-    equal to `model.score_pairs` on the same pair batches.
+    One record set serves the call: each distinct grid goes through
+    `model.records` once, `batch_size` grids at a time, and `pair_logits`
+    then runs `batch_size` pairs at a time. The scores are bitwise equal to
+    `model.score_pairs` on the same pair batches.
     """
     scores = np.empty(len(rows1))
     if not len(scores):
         return scores
-
-    def features(grids, rows):
-        distinct, at = np.unique(rows, return_inverse=True)
-        parts = [model.branch(grids[distinct[lo : lo + batch_size]]).data
-                 for lo in range(0, len(distinct), batch_size)]
-        return np.concatenate(parts), at
-
-    f1, at1 = features(grids1, rows1)
-    f2, at2 = features(grids2, rows2)
+    grids, at1, at2 = distinct_grids(grids1, rows1, grids2, rows2)
+    recs = {}
+    for lo in range(0, len(grids), batch_size):
+        for name, t in model.records(grids[lo : lo + batch_size]).items():
+            if name not in recs:
+                recs[name] = np.empty((len(grids),) + t.shape[1:])
+            recs[name][lo : lo + len(t.data)] = t.data
+    recs = {name: nk.Tensor(a) for name, a in recs.items()}
     for start in range(0, len(scores), batch_size):
         sl = slice(start, start + batch_size)
-        logits = model.fuse_logits(nk.Tensor(f1[at1[sl]]), nk.Tensor(f2[at2[sl]]), "eval")
-        scores[sl] = nk.sigmoid(logits).data
+        scores[sl] = nk.sigmoid(model.pair_logits(recs, at1[sl], at2[sl], "eval")).data
     return scores
 
 
@@ -372,13 +445,18 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
             idx = perm[start : start + cfg.batch_size]
             if len(idx) < 2:  # batch norm cannot take a single sample
                 continue
-            g1, g2, y = grids1[rows1[idx]], grids2[rows2[idx]], labels_all[idx]
-            if model.cfg.jitter_sigma > 0:
+            y = labels_all[idx]
+            if model.cfg.jitter_sigma > 0:  # every jittered grid is its own record
+                g1, g2 = grids1[rows1[idx]], grids2[rows2[idx]]
                 g1 = g1 + rng.normal(0, model.cfg.jitter_sigma, size=g1.shape)
                 g2 = g2 + rng.normal(0, model.cfg.jitter_sigma, size=g2.shape)
+                grids = np.concatenate([g1, g2])
+                at1, at2 = np.arange(len(idx)), np.arange(len(idx), 2 * len(idx))
+            else:
+                grids, at1, at2 = distinct_grids(grids1, rows1[idx], grids2, rows2[idx])
             lr = one_cycle_lr(step, total_steps, cfg)
             with nk.Tape() as tape:
-                logits = model.forward_logits(g1, g2, mode="train")
+                logits = model.pair_logits(model.records(grids), at1, at2, "train")
                 loss = nk.bce_with_logits(logits, y)
             if not np.isfinite(loss.data):
                 raise TrainingError(

@@ -68,15 +68,20 @@ def payload_checksum(payload):
 
 
 class EmbeddingStore:
-    """Immutable after import; pooled vectors are always derived."""
+    """Immutable after import; pooled vectors and labels are always derived."""
 
     def __init__(self, manifest, grids):
         self.manifest = manifest
         self._grids = grids  # split -> (N, T, D) float64
         # split -> (N, D) token means; scorers and retrieval index them per call
         self._pooled = {s: g.mean(axis=1) for s, g in grids.items()}
-        for pooled in self._pooled.values():
-            pooled.flags.writeable = False
+        # split -> (N,) class ids in manifest order
+        self._labels = {
+            s: np.array([cid for _, cid in manifest.records[s]], dtype=np.int64)
+            for s in SPLITS
+        }
+        for derived in (*self._pooled.values(), *self._labels.values()):
+            derived.flags.writeable = False
         self._by_id = {}
         self._class_lists = {}
         for split in SPLITS:
@@ -131,7 +136,7 @@ class EmbeddingStore:
         return list(recs)
 
     def labels(self, split):
-        return np.array([cid for _, cid in self.manifest.records[split]], dtype=np.int64)
+        return self._labels[split]
 
     # ---- ingest / export ----------------------------------------------
 

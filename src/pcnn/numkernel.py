@@ -8,6 +8,7 @@ inference and finite-difference probing).
 import threading
 
 import numpy as np
+import scipy.sparse
 from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -67,9 +68,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -276,6 +274,28 @@ def slice_axis(a, axis, start, stop):
         full = np.zeros_like(a.data)
         full[idx] = g
         _accum(a, full)
+
+    return _make(out_data, (a,), back)
+
+
+def gather(a, rows):
+    """Rows `rows` of `a` along axis 0, repeats allowed; one tape node.
+
+    The backward scatter-adds each output row's gradient into its source row
+    as a one-hot sparse matmul, so repeated rows sum and rows never gathered
+    get a zero gradient.
+    """
+    a = _as_tensor(a)
+    rows = np.asarray(rows, dtype=np.intp)
+    out_data = a.data[rows]
+
+    def back(g):
+        n = len(rows)
+        # column j of the one-hot matrix holds a single 1 at row rows[j]
+        onehot = scipy.sparse.csc_matrix(
+            (np.ones(n), rows, np.arange(n + 1)), shape=(a.data.shape[0], n)
+        )
+        _accum(a, (onehot @ g.reshape(n, -1)).reshape(a.data.shape))
 
     return _make(out_data, (a,), back)
 
@@ -503,10 +523,19 @@ def _attend(q, k, v, heads):
     """softmax(q_h @ k_h^T / sqrt(dh)) @ v_h per head over (B, S|T, D)
     projections; one tape node.
 
-    Heads are split and merged on the raw arrays, and the backward goes
-    through the softmax Jacobian in closed form, so the (B, H, S, T)
-    probabilities are the only intermediate kept.
+    The backward goes through the softmax Jacobian in closed form, so the
+    attention probabilities are the only intermediate kept. A single query
+    row (every CLS cross-attention query) takes `_attend_one`, longer
+    queries `_attend_many`.
     """
+    if q.data.shape[1] == 1:
+        return _attend_one(q, k, v, heads)
+    return _attend_many(q, k, v, heads)
+
+
+def _attend_many(q, k, v, heads):
+    """`_attend` with heads split and merged on the raw arrays and a batched
+    matmul per (batch row, head)."""
     (b, s, d), t = q.data.shape, k.data.shape[1]
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
@@ -539,6 +568,41 @@ def _attend(q, k, v, heads):
     return _make(out_data, (q, k, v), back)
 
 
+def _attend_one(q, k, v, heads):
+    """`_attend` for one query row: elementwise q * k, then one GEMM with a
+    (D, H) head-indicator matrix sums each head's features, instead of one
+    (1, dh) @ (dh, T) matmul per (batch row, head)."""
+    (b, _, d), t = q.data.shape, k.data.shape[1]
+    indicator = np.repeat(np.eye(heads), d // heads, axis=0)  # feature j -> head j // dh
+    scale = 1.0 / np.sqrt(d // heads)
+
+    def per_head(x):  # (B, T, D) -> (B, T, H), summed over each head's features
+        return (x.reshape(b * t, d) @ indicator).reshape(b, t, heads)
+
+    def per_feature(x):  # (B, T, H) -> (B, T, D), each head's value repeated
+        return (x.reshape(b * t, heads) @ indicator.T).reshape(b, t, d)
+
+    scores = per_head(q.data * k.data) * scale
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)  # (B, T, H), softmax over keys
+    weights = per_feature(probs)
+    out_data = (weights * v.data).sum(axis=1, keepdims=True)
+
+    def back(g):
+        if v.requires_grad:
+            _accum(v, weights * g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dp = per_head(g * v.data)
+        ds = per_feature(probs * (dp - (dp * probs).sum(axis=1, keepdims=True)) * scale)
+        if q.requires_grad:
+            _accum(q, (ds * k.data).sum(axis=1, keepdims=True))
+        if k.requires_grad:
+            _accum(k, ds * q.data)
+
+    return _make(out_data, (q, k, v), back)
+
+
 def attention(xq, xkv, params, heads):
     """Multi-head scaled-dot-product attention of xq's rows over xkv's rows,
     no residual: q from xq, k and v from xkv, then the output projection."""
@@ -553,6 +617,12 @@ def attention(xq, xkv, params, heads):
     q = linear(xq, params.wq, params.bq)
     k = linear(xkv, params.wk, params.bk)
     v = linear(xkv, params.wv, params.bv)
+    return attend(q, k, v, params, heads)
+
+
+def attend(q, k, v, params, heads):
+    """Multi-head attention from q, k and v already projected with
+    `params`: the attention core, then the output projection."""
     return linear(_attend(q, k, v, heads), params.wo, params.bo)
 
 

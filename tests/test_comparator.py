@@ -14,6 +14,7 @@ from pcnn.comparator import (
     ComparatorModel,
     TrainConfig,
     TrainingError,
+    distinct_grids,
     evaluate_binary,
     expected_param_count,
     load_checkpoint,
@@ -35,6 +36,18 @@ def small_cfg(**kw):
     base = dict(depth=8, tokens=3, blocks=1, cross_layers=1, self_layers=1, heads=2)
     base.update(kw)
     return ComparatorConfig(**base)
+
+
+def branch_calls(model, monkeypatch):
+    """The grid count of each `model.branch` call from here on."""
+    real, calls = model.branch, []
+
+    def branch(grids):
+        calls.append(len(grids))
+        return real(grids)
+
+    monkeypatch.setattr(model, "branch", branch)
+    return calls
 
 
 class TestArchitecture:
@@ -95,7 +108,7 @@ class TestArchitecture:
         g1 = rng.normal(size=(3, 3, 8))
         g2 = rng.normal(size=(3, 3, 8))
         batch = model.score_pairs(g1, g2)
-        singles = [model.forward_pair(g1[i], g2[i]) for i in range(3)]
+        singles = [model.score_pairs(g1[i : i + 1], g2[i : i + 1])[0] for i in range(3)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
@@ -148,6 +161,19 @@ class TestScoreRows:
         assert sum(branched) == len(np.unique(rows1)) + len(np.unique(rows2))
         assert max(branched) <= 4
 
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_shared_grids_branch_each_distinct_row_once(self, cfg, monkeypatch):
+        # both sides index one array: a row on both sides is one record
+        model = self.model(cfg)
+        rng = np.random.default_rng(10)
+        grids = rng.normal(size=(6, 3, 8))
+        rows1, rows2 = rng.integers(0, 4, size=15), rng.integers(2, 6, size=15)
+        want = self.per_batch(model, grids, rows1, grids, rows2, 4)
+        branched = branch_calls(model, monkeypatch)
+        got = score_rows(model, grids, rows1, grids, rows2, batch_size=4)
+        np.testing.assert_array_equal(got, want)
+        assert sum(branched) == len(np.unique(np.concatenate([rows1, rows2])))
+
     def test_no_rows(self):
         model = self.model(dict(blocks=1))
         grids = np.zeros((2, 3, 8))
@@ -161,13 +187,70 @@ class TestScoreRows:
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_forward_logits_is_fuse_of_branches(self, cfg):
+        # a pair's logit fuses its two records' per-record work, however the
+        # record set is laid out: here each grid once, in reverse order
         model = self.model(cfg)
         rng = np.random.default_rng(9)
         g1, g2 = rng.normal(size=(5, 3, 8)), rng.normal(size=(5, 3, 8))
+        recs = model.records(np.concatenate([g2, g1])[::-1])
         np.testing.assert_array_equal(
             model.forward_logits(g1, g2).data,
-            model.fuse_logits(model.branch(g1), model.branch(g2)).data,
+            model.pair_logits(recs, np.arange(4, -1, -1), np.arange(9, 4, -1)).data,
         )
+
+
+def per_pair_logits(model, g1, g2, mode):
+    """The pair composition with no per-record sharing: both branches of
+    every pair, each cross layer over both full states, then the head."""
+    cfg = model.cfg
+    x1, x2 = model.branch(g1), model.branch(g2)
+    for l in range(cfg.blocks):
+        if l:
+            for p in model.self_attn[l]:
+                x1 = nk.add(x1, nk.mhsa(x1, p, cfg.heads))
+                x2 = nk.add(x2, nk.mhsa(x2, p, cfg.heads))
+        for p in model.cross_attn[l]:
+            x1, x2 = nk.cross_attention(x1, x2, p, cfg.heads)
+    h = nk.concat([model._branch_cls(x1), model._branch_cls(x2)], axis=1)
+    return model._head(h, mode)
+
+
+class TestUnionStep:
+    @pytest.mark.parametrize("lm", [(0, 1), (1, 1), (1, 2), (2, 1)])
+    def test_grads_match_per_pair_composition(self, lm):
+        l, m = lm
+        model = ComparatorModel(small_cfg(blocks=l, cross_layers=m), seed=11)
+        rng = np.random.default_rng(12)
+        # the final layer's zero init would zero most gradients
+        model.mlp_w[3].data = rng.normal(size=model.mlp_w[3].data.shape)
+        grids = rng.normal(size=(7, 3, 8))
+        rows1, rows2 = rng.integers(0, 7, size=12), rng.integers(0, 7, size=12)
+        y = rng.integers(0, 2, size=12).astype(np.float64)
+        snap = model.snapshot()
+
+        def step(logits_of):
+            model.restore(snap)
+            with nk.Tape() as tape:
+                loss = nk.bce_with_logits(logits_of(), y)
+            for _, t in model.parameters():
+                t.grad = None
+            nk.backward(tape, loss)
+            return float(loss.data), {name: t.grad for name, t in model.parameters()}
+
+        def union():
+            distinct, at1, at2 = distinct_grids(grids, rows1, grids, rows2)
+            assert len(distinct) == len(np.unique(np.concatenate([rows1, rows2])))
+            return model.pair_logits(model.records(distinct), at1, at2, "train")
+
+        loss, got = step(union)
+        want_loss, want = step(lambda: per_pair_logits(model, grids[rows1], grids[rows2], "train"))
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        # relative to the largest gradient entry: some entries are zero
+        # analytically (key biases, batch-constant CLS rows) and rounding noise
+        scale = max(np.max(np.abs(w)) for w in want.values())
+        for name, w in want.items():
+            assert np.any(w != 0), name
+            assert np.max(np.abs(got[name] - w)) <= 1e-12 * scale, name
 
 
 class TestMetrics:
@@ -300,6 +383,33 @@ class TestTraining:
         row = report.epochs[0]
         assert row["loss"] == pytest.approx(float(loss.data), rel=1e-12)
         assert row["train_accuracy"] == np.sum((logits.data > 0) == (y == 1)) / 4
+
+    def test_epoch_branches_each_batch_union_once(self, tiny_task, monkeypatch):
+        store, train_pairs, eval_pairs = tiny_task
+        model = ComparatorModel(small_cfg(), seed=4)
+        calls = branch_calls(model, monkeypatch)
+        cfg = TrainConfig(epochs=1, batch_size=16, max_lr=0.02, seed=8)
+        train(model, store, train_pairs, eval_pairs, cfg)
+        rows1, rows2 = pairset_rows(store, train_pairs)
+        perm = np.random.default_rng(cfg.seed).permutation(len(rows1))
+        batches = [perm[lo : lo + 16] for lo in range(0, len(perm), 16)]
+        want = [len(np.unique(np.concatenate([rows1[b], rows2[b]]))) for b in batches
+                if len(b) >= 2]
+        assert calls[: len(want)] == want
+        assert sum(want) < 2 * sum(len(b) for b in batches)  # the union saved rows
+        # then the epoch's eval pairs, each distinct grid once
+        e1, e2 = pairset_rows(store, eval_pairs)
+        assert sum(calls[len(want) :]) == len(np.unique(e1)) + len(np.unique(e2))
+
+    def test_jitter_branches_every_jittered_grid(self, tiny_task, monkeypatch):
+        store, train_pairs, eval_pairs = tiny_task
+        model = ComparatorModel(small_cfg(jitter_sigma=0.05), seed=4)
+        calls = branch_calls(model, monkeypatch)
+        cfg = TrainConfig(epochs=1, batch_size=16, max_lr=0.02, seed=8)
+        train(model, store, train_pairs, eval_pairs, cfg)
+        n = len(train_pairs.pairs)
+        want = [2 * min(16, n - lo) for lo in range(0, n, 16) if n - lo >= 2]
+        assert calls[: len(want)] == want
 
     def test_rejects_a_single_train_pair(self, tiny_task):
         store, train_pairs, eval_pairs = tiny_task

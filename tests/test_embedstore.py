@@ -35,6 +35,19 @@ def test_rows_index_grids(small_store):
         store.rows("train", [10**6])
 
 
+def test_labels_are_the_manifest_classes_derived_once(small_store):
+    store, _ = small_store
+    for split in ("train", "test"):
+        labels = store.labels(split)
+        want = [cid for _, cid in store.manifest.records[split]]
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, want)
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[0] = 1
+        assert store.labels(split) is labels
+
+
 def test_cub_shaped_manifest_accepted():
     # 200 classes, 5,994 train / 5,794 test records (tiny grids to keep it fast)
     t, d = 1, 2
