@@ -43,6 +43,9 @@ class ClassifierOutput:
         return self.probs[self._row[record_id]]
 
     def validate(self):
+        finite = np.isfinite(self.probs).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"non-finite probability in row {int(np.argmin(finite))}")
         if np.any(self.probs < 0) or np.any(self.probs > 1):
             bad = int(np.argwhere((self.probs < 0) | (self.probs > 1))[0][0])
             raise ValidationError(f"probability out of [0,1] in row {bad}")
@@ -99,10 +102,6 @@ class SyntheticClassifier:
         out = probs.copy()
         out[top1], out[partner] = out[partner], out[top1]
         return out
-
-    def predict_record(self, store, split, record_id):
-        probs = self._probs_for(store.pooled(split, record_id))
-        return self._corrupt(probs, split, record_id)
 
     def predict_split(self, store, split):
         pooled = store.pooled_all(split)

@@ -1,8 +1,10 @@
 """Command-line harness.
 
 Every stage is driven by a single JSON experiment config; commands are
-idempotent with respect to their declared outputs. On failure the process
-exits nonzero after printing one machine-readable error JSON to stderr.
+idempotent with respect to their declared outputs. A config command runs
+one `experiment` step, which writes the same files as `run_seed`, and
+prints the JSON document the step returns. On failure the process exits
+nonzero after printing one machine-readable error JSON to stderr.
 """
 
 import argparse
@@ -10,11 +12,11 @@ import json
 import os
 import sys
 
-from . import comparator, pairsampler, reranker
+from . import experiment
 from .atomicio import atomic_open
 from .comparator import load_checkpoint
 from .embedstore import EmbeddingStore
-from .experiment import ExperimentConfig, prepare, run, train_comparator
+from .experiment import ExperimentConfig
 from .nnindex import ClassIndex
 
 
@@ -24,42 +26,72 @@ def _fail(command, exc):
     return 1
 
 
-def _seed_dir(cfg, seed):
-    path = os.path.join(cfg.output_dir, f"seed_{seed}")
-    os.makedirs(path, exist_ok=True)
-    return path
+def _prepare(args):
+    return experiment.prepare(ExperimentConfig.load(args.config), args.seed)
 
 
-def _load_cfg(args):
-    return ExperimentConfig.load(args.config)
+def _out(pipe):
+    return experiment.seed_dir(pipe.cfg, pipe.seed)
+
+
+def _load_model(pipe):
+    blob, header = experiment.checkpoint_paths(_out(pipe))
+    if not os.path.exists(blob):
+        raise FileNotFoundError(f"no checkpoint at {blob}; run `train` first")
+    return load_checkpoint(blob, header)[0]
 
 
 def cmd_synth(args):
-    cfg = _load_cfg(args)
-    pipe = prepare(cfg, args.seed)
-    out = _seed_dir(cfg, args.seed)
-    pipe.store.save(os.path.join(out, "manifest.json"), os.path.join(out, "payload.bin"))
-    with atomic_open(os.path.join(out, "centroids.json")) as fh:
-        json.dump(pipe.centroids.tolist(), fh)
-    print(json.dumps({"manifest": os.path.join(out, "manifest.json"),
-                      "records": {s: pipe.store.size(s) for s in ("train", "test")}}))
+    pipe = _prepare(args)
+    return experiment.data_step(pipe, _out(pipe))
+
+
+def cmd_sample(args):
+    pipe = _prepare(args)
+    return experiment.pairs_step(pipe, _out(pipe))
+
+
+def cmd_train(args):
+    pipe = _prepare(args)
+    _, _, doc = experiment.train_step(pipe, _out(pipe))
+    return doc
+
+
+def cmd_eval(args):
+    pipe = _prepare(args)
+    return experiment.eval_step(pipe, _load_model(pipe))
+
+
+def cmd_rerank(args):
+    pipe = _prepare(args)
+    return experiment.rerank_step(pipe, _load_model(pipe), _out(pipe))
+
+
+def cmd_sanity(args):
+    pipe = _prepare(args)
+    return experiment.sanity_step(pipe, _load_model(pipe))
+
+
+def cmd_ceiling(args):
+    return experiment.ceiling_step(_prepare(args), args.q_max)
+
+
+def cmd_sweep(args):
+    summary = experiment.run(ExperimentConfig.load(args.config))
+    return {k: summary[k] for k in ("seeds", "accuracy_c", "accuracy_soft", "accuracy_hard")}
 
 
 def cmd_ingest(args):
     store = EmbeddingStore.load(args.manifest, args.payload)
-    print(
-        json.dumps(
-            {
-                "dataset": store.manifest.dataset,
-                "classes": store.manifest.num_classes,
-                "tokens": store.manifest.tokens,
-                "depth": store.manifest.depth,
-                "train": store.size("train"),
-                "test": store.size("test"),
-                "checksum": store.manifest.checksum,
-            }
-        )
-    )
+    return {
+        "dataset": store.manifest.dataset,
+        "classes": store.manifest.num_classes,
+        "tokens": store.manifest.tokens,
+        "depth": store.manifest.depth,
+        "train": store.size("train"),
+        "test": store.size("test"),
+        "checksum": store.manifest.checksum,
+    }
 
 
 def cmd_index(args):
@@ -73,120 +105,7 @@ def cmd_index(args):
     else:
         hits = index.topk_global(query, args.k, exclude=exclude)
         table = [{"id": i, "distance": d, "class": c} for i, d, c in hits]
-    print(json.dumps({"query": args.query_id, "neighbors": table}))
-
-
-def cmd_sample(args):
-    cfg = _load_cfg(args)
-    pipe = prepare(cfg, args.seed)
-    out = _seed_dir(cfg, args.seed)
-    pairsampler.save_pairs(pipe.train_pairs, os.path.join(out, "pairs_train.jsonl"))
-    pairsampler.save_pairs(pipe.eval_pairs, os.path.join(out, "pairs_eval.jsonl"))
-    audit = pairsampler.pair_count_audit(
-        pipe.train_pairs, pipe.store.ids("train"), pipe.sampler_cfg.q
-    )
-    print(
-        json.dumps(
-            {
-                "train_pairs": len(pipe.train_pairs),
-                "eval_pairs": len(pipe.eval_pairs),
-                "audit_ok": audit.ok,
-                "audit_expected": audit.expected,
-            }
-        )
-    )
-
-
-def cmd_train(args):
-    cfg = _load_cfg(args)
-    pipe = prepare(cfg, args.seed)
-    model, report = train_comparator(cfg, args.seed, pipe)
-    out = _seed_dir(cfg, args.seed)
-    comparator.save_checkpoint(
-        model,
-        os.path.join(out, "checkpoint.bin"),
-        os.path.join(out, "checkpoint.json"),
-        extra={"seed": args.seed, "selected_epoch": report.selected_epoch},
-    )
-    with atomic_open(os.path.join(out, "train_report.json")) as fh:
-        fh.write(report.to_json())
-    print(json.dumps({"selected_epoch": report.selected_epoch,
-                      "f1": report.epochs[report.selected_epoch]["f1"]}))
-
-
-def _load_model(cfg, seed):
-    out = _seed_dir(cfg, seed)
-    blob = os.path.join(out, "checkpoint.bin")
-    header = os.path.join(out, "checkpoint.json")
-    if not os.path.exists(blob):
-        raise FileNotFoundError(f"no checkpoint at {blob}; run `train` first")
-    model, _ = load_checkpoint(blob, header)
-    return model, out
-
-
-def cmd_rerank(args):
-    cfg = _load_cfg(args)
-    pipe = prepare(cfg, args.seed)
-    model, out = _load_model(cfg, args.seed)
-    rr_cfg = reranker.RerankConfig(**cfg.rerank)
-    rr = reranker.evaluate_rerank(
-        pipe.store, pipe.out_test, pipe.index, reranker.ModelScorer(model), rr_cfg
-    )
-    reranker.save_results(rr.results_soft, os.path.join(out, "rerank_soft.jsonl"))
-    reranker.save_results(rr.results_hard, os.path.join(out, "rerank_hard.jsonl"))
-    print(
-        json.dumps(
-            {
-                "accuracy_c": rr.accuracy_c,
-                "accuracy_soft": rr.accuracy_soft,
-                "accuracy_hard": rr.accuracy_hard,
-                "mean_comparator_queries": rr.mean_comparator_queries,
-            }
-        )
-    )
-
-
-def cmd_eval(args):
-    cfg = _load_cfg(args)
-    pipe = prepare(cfg, args.seed)
-    model, _ = _load_model(cfg, args.seed)
-    metrics = comparator.evaluate_binary(model, pipe.store, pipe.eval_pairs)
-    print(
-        json.dumps(
-            {
-                "accuracy": metrics.accuracy,
-                "precision": metrics.precision,
-                "recall": metrics.recall,
-                "f1": metrics.f1,
-                "confusion": metrics.confusion,
-                "mean_confidence": metrics.mean_confidence,
-            }
-        )
-    )
-
-
-def cmd_sanity(args):
-    cfg = _load_cfg(args)
-    pipe = prepare(cfg, args.seed)
-    model, _ = _load_model(cfg, args.seed)
-    rep = reranker.sanity_suite(model, pipe.store, seed=args.seed)
-    print(
-        json.dumps(
-            {
-                "self_pair_rate": rep.self_pair_rate,
-                "random_grid_rate": rep.random_grid_rate,
-                "shuffled_grid_rate": rep.shuffled_grid_rate,
-            }
-        )
-    )
-
-
-def cmd_ceiling(args):
-    cfg = _load_cfg(args)
-    pipe = prepare(cfg, args.seed)
-    q_max = min(pipe.store.manifest.num_classes, args.q_max)
-    table = reranker.topq_ceiling(pipe.store, pipe.out_test, range(1, q_max + 1))
-    print(json.dumps(table))
+    return {"query": args.query_id, "neighbors": table}
 
 
 def cmd_explain(args):
@@ -207,22 +126,7 @@ def cmd_explain(args):
             docs.append(doc)
     with atomic_open(args.out) as fh:
         json.dump({"explanations": docs}, fh, indent=2)
-    print(json.dumps({"queries": len(docs), "out": args.out}))
-
-
-def cmd_sweep(args):
-    cfg = _load_cfg(args)
-    summary = run(cfg)
-    print(
-        json.dumps(
-            {
-                "seeds": summary["seeds"],
-                "accuracy_c": summary["accuracy_c"],
-                "accuracy_soft": summary["accuracy_soft"],
-                "accuracy_hard": summary["accuracy_hard"],
-            }
-        )
-    )
+    return {"queries": len(docs), "out": args.out}
 
 
 def build_parser():
@@ -276,9 +180,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        doc = args.fn(args)
     except Exception as exc:  # single exit point with error JSON
         return _fail(args.command, exc)
+    print(json.dumps(doc))
     return 0
 
 

@@ -10,7 +10,7 @@ binary cross-entropy; the checkpoint with the best eval F1 is kept.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -508,16 +508,7 @@ def save_checkpoint(model, path_blob, path_header, extra=None):
     order = sorted(arrays)
     blob = b"".join(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes() for name in order)
     header = {
-        "config": {
-            "depth": model.cfg.depth,
-            "tokens": model.cfg.tokens,
-            "blocks": model.cfg.blocks,
-            "cross_layers": model.cfg.cross_layers,
-            "self_layers": model.cfg.self_layers,
-            "heads": model.cfg.heads,
-            "mlp_hidden": model.cfg.mlp_hidden,
-            "jitter_sigma": model.cfg.jitter_sigma,
-        },
+        "config": asdict(model.cfg),
         "arrays": {name: list(arrays[name].shape) for name in order},
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),

@@ -3,7 +3,10 @@
 Stages per seed: generate (or load) data, build the index, run the
 synthetic classifier, sample pairs, train the comparator, evaluate the
 binary task and the re-ranking task, run sanity checks, and write every
-artifact under the output directory.
+artifact under the output directory. The step functions below own the
+seed directory's files. `run_seed` runs the pairs, training, re-rank,
+sanity and ceiling steps, and each `pcnn` config command runs one step, so
+both write the same bytes.
 """
 
 import contextlib
@@ -173,49 +176,108 @@ def train_comparator(cfg, seed, pipe):
         )
 
 
+# ------------------------------------------------------------------ steps
+#
+# Each step reads the lazy Pipeline, writes its files into a seed directory
+# and returns the JSON document it reports.
+
+
+def seed_dir(cfg, seed):
+    """The output directory of one seed, created if missing."""
+    path = os.path.join(cfg.output_dir, f"seed_{seed}")
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
+def checkpoint_paths(out):
+    """(blob, header) paths of the checkpoint in a seed directory."""
+    return os.path.join(out, "checkpoint.bin"), os.path.join(out, "checkpoint.json")
+
+
+def data_step(pipe, out):
+    """Write the store and the classifier centroids."""
+    manifest = os.path.join(out, "manifest.json")
+    pipe.store.save(manifest, os.path.join(out, "payload.bin"))
+    with atomic_open(os.path.join(out, "centroids.json")) as fh:
+        json.dump(pipe.centroids.tolist(), fh)
+    return {"manifest": manifest,
+            "records": {s: pipe.store.size(s) for s in ("train", "test")}}
+
+
+def pairs_step(pipe, out):
+    """Write the train and eval pairs; report their counts and the 2Q-1/2Q audit."""
+    pairsampler.save_pairs(pipe.train_pairs, os.path.join(out, "pairs_train.jsonl"))
+    pairsampler.save_pairs(pipe.eval_pairs, os.path.join(out, "pairs_eval.jsonl"))
+    audit = pairsampler.pair_count_audit(
+        pipe.train_pairs, pipe.store.ids("train"), pipe.sampler_cfg.q
+    )
+    return {"train_pairs": len(pipe.train_pairs), "eval_pairs": len(pipe.eval_pairs),
+            "audit_ok": audit.ok, "audit_expected": audit.expected}
+
+
+def train_step(pipe, out):
+    """Train the comparator; write checkpoint.* and train_report.json.
+
+    Returns the model, restored to the selected epoch, the training report
+    and the selected epoch with its F1, which the checkpoint header's
+    `extra` also holds next to the seed.
+    """
+    model, report = train_comparator(pipe.cfg, pipe.seed, pipe)
+    doc = {"selected_epoch": report.selected_epoch,
+           "f1": report.epochs[report.selected_epoch]["f1"]}
+    comparator.save_checkpoint(model, *checkpoint_paths(out),
+                               extra={"seed": pipe.seed, **doc})
+    with atomic_open(os.path.join(out, "train_report.json")) as fh:
+        fh.write(report.to_json())
+    return model, report, doc
+
+
+def eval_step(pipe, model):
+    """Binary pair metrics of the model on the eval pairs."""
+    with _stage("evaluation"):
+        return asdict(comparator.evaluate_binary(model, pipe.store, pipe.eval_pairs))
+
+
+def rerank_step(pipe, model, out):
+    """Soft and hard re-ranking of the test split; write both rerank_*.jsonl."""
+    with _stage("evaluation"):
+        rr = reranker.evaluate_rerank(pipe.store, pipe.out_test, pipe.index,
+                                      ModelScorer(model), RerankConfig(**pipe.cfg.rerank))
+    reranker.save_results(rr.results_soft, os.path.join(out, "rerank_soft.jsonl"))
+    reranker.save_results(rr.results_hard, os.path.join(out, "rerank_hard.jsonl"))
+    return {"accuracy_c": rr.accuracy_c, "accuracy_soft": rr.accuracy_soft,
+            "accuracy_hard": rr.accuracy_hard,
+            "mean_comparator_queries": rr.mean_comparator_queries}
+
+
+def sanity_step(pipe, model):
+    """Rates of self, random-valued and shuffled pairs scored as a match."""
+    with _stage("evaluation"):
+        return asdict(reranker.sanity_suite(model, pipe.store, seed=pipe.seed))
+
+
+def ceiling_step(pipe, q_max=20):
+    """Top-Q accuracy of the classifier on the test split, Q = 1..q_max."""
+    with _stage("evaluation"):
+        q_max = min(pipe.store.manifest.num_classes, q_max)
+        return reranker.topq_ceiling(pipe.store, pipe.out_test, range(1, q_max + 1))
+
+
 def run_seed(cfg, seed, out_dir):
+    """Every step of one seed into out_dir, then results.json."""
     os.makedirs(out_dir, exist_ok=True)
     pipe = prepare(cfg, seed)
-    model, report = train_comparator(cfg, seed, pipe)
-    store, index, out_test = pipe.store, pipe.index, pipe.out_test
-    train_pairs, eval_pairs = pipe.train_pairs, pipe.eval_pairs
-
+    pairs_step(pipe, out_dir)
+    model, report, _ = train_step(pipe, out_dir)
     # the restored model is the selected epoch's, so its eval metrics stand
     best = report.epochs[report.selected_epoch]
-    binary = {"accuracy": best["eval_accuracy"],
-              **{k: best[k] for k in ("precision", "recall", "f1")}}
-    with _stage("evaluation"):
-        rr_cfg = RerankConfig(**cfg.rerank)
-        rr = reranker.evaluate_rerank(store, out_test, index, ModelScorer(model), rr_cfg)
-        sanity = reranker.sanity_suite(model, store, seed=seed)
-        ceiling = reranker.topq_ceiling(
-            store, out_test, range(1, min(store.manifest.num_classes, 20) + 1)
-        )
-
-    comparator.save_checkpoint(
-        model,
-        os.path.join(out_dir, "checkpoint.bin"),
-        os.path.join(out_dir, "checkpoint.json"),
-        extra={"seed": seed, "selected_epoch": report.selected_epoch, "f1": binary["f1"]},
-    )
-    with atomic_open(os.path.join(out_dir, "train_report.json")) as fh:
-        fh.write(report.to_json())
-    reranker.save_results(rr.results_soft, os.path.join(out_dir, "rerank_soft.jsonl"))
-    reranker.save_results(rr.results_hard, os.path.join(out_dir, "rerank_hard.jsonl"))
-    pairsampler.save_pairs(train_pairs, os.path.join(out_dir, "pairs_train.jsonl"))
-    pairsampler.save_pairs(eval_pairs, os.path.join(out_dir, "pairs_eval.jsonl"))
-
     results = {
         "seed": seed,
-        "binary": binary,
-        "rerank": {
-            "accuracy_c": rr.accuracy_c,
-            "accuracy_soft": rr.accuracy_soft,
-            "accuracy_hard": rr.accuracy_hard,
-            "mean_comparator_queries": rr.mean_comparator_queries,
-        },
-        "sanity": asdict(sanity),
-        "topq_ceiling": ceiling,
+        "binary": {"accuracy": best["eval_accuracy"],
+                   **{k: best[k] for k in ("precision", "recall", "f1")}},
+        "rerank": rerank_step(pipe, model, out_dir),
+        "sanity": sanity_step(pipe, model),
+        "topq_ceiling": ceiling_step(pipe),
         "selected_epoch": report.selected_epoch,
     }
     with atomic_open(os.path.join(out_dir, "results.json")) as fh:
@@ -225,14 +287,10 @@ def run_seed(cfg, seed, out_dir):
 
 def run(cfg):
     """Execute every seed and write per-seed plus mean/std summaries."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    per_seed = []
-    for seed in cfg.seeds:
-        out_dir = os.path.join(cfg.output_dir, f"seed_{seed}")
-        per_seed.append(run_seed(cfg, seed, out_dir))
+    per_seed = [run_seed(cfg, seed, seed_dir(cfg, seed)) for seed in cfg.seeds]
 
     def agg(path):
-        vals = [r for r in per_seed]
+        vals = per_seed
         for key in path:
             vals = [v[key] for v in vals]
         return {"mean": float(np.mean(vals)), "std": float(np.std(vals))}

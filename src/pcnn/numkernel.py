@@ -360,13 +360,19 @@ def gelu(x):
     return _make(out_data, (x,), back)
 
 
+def _sigmoid(z):
+    """Logistic function of an array; two branches, so no exp overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def sigmoid(x):
     x = _as_tensor(x)
-    out_data = np.empty_like(x.data)
-    pos = x.data >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    out_data = _sigmoid(x.data)
 
     def back(g):
         _accum(x, g * out_data * (1.0 - out_data))
@@ -402,12 +408,7 @@ def bce_with_logits(o, y):
     n = max(z.size, 1)
 
     def back(g):
-        s = np.empty_like(z)
-        pos = z >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        s[~pos] = ez / (1.0 + ez)
-        _accum(o, g * (s - y) / n)
+        _accum(o, g * (_sigmoid(z) - y) / n)
 
     return _make(out_data, (o,), back)
 

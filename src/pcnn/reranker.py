@@ -20,7 +20,6 @@ from .comparator import score_rows
 class RerankConfig:
     k: int = 10
     n_neighbors: int = 1
-    mode: str = "soft"  # or "hard"
     prob_floor: float = 0.0
 
     def __post_init__(self):
@@ -28,8 +27,6 @@ class RerankConfig:
             raise ValueError("K must be >= 1")
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
-        if self.mode not in ("soft", "hard"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not 0 <= self.prob_floor < 1:
             raise ValueError("probability floor must be in [0, 1)")
 
@@ -145,8 +142,10 @@ def _finalize(qid, entries, mode):
     return RankedResult(qid, entries, best.class_id, count)
 
 
-def _rerank_queries(store, output, index, scorer, cfg, qids, query_split):
+def _rerank_queries(store, output, index, scorer, cfg, qids, query_split, mode):
     """Re-rank the given queries; all their pairs go to one scorer call."""
+    if mode not in ("soft", "hard"):
+        raise ValueError(f"unknown mode {mode!r}")
     per_query = _candidates(store, index, query_split, qids, output, cfg)
     pairs = [
         (qid, nid) for qid, entries in per_query for e in entries for nid in e.neighbor_ids
@@ -164,19 +163,20 @@ def _rerank_queries(store, output, index, scorer, cfg, qids, query_split):
                     stop = start + len(e.neighbor_ids)
                     e.s_score = float(np.mean(scores[start:stop]))
                     start = stop
-    return [_finalize(qid, entries, cfg.mode) for qid, entries in per_query]
+    return [_finalize(qid, entries, mode) for qid, entries in per_query]
 
 
-def rerank_split(store, output, index, scorer, cfg, query_split="test"):
-    """Re-rank every query of a split; one batched comparator pass."""
+def rerank_split(store, output, index, scorer, cfg, query_split="test", mode="soft"):
+    """Re-rank every query of a split by prob x score ("soft") or by score
+    alone ("hard"); one batched comparator pass."""
     return _rerank_queries(
-        store, output, index, scorer, cfg, store.ids(query_split), query_split
+        store, output, index, scorer, cfg, store.ids(query_split), query_split, mode
     )
 
 
-def rerank(store, output, index, scorer, cfg, qid, query_split="test"):
+def rerank(store, output, index, scorer, cfg, qid, query_split="test", mode="soft"):
     """Single-query re-ranking (same semantics as rerank_split)."""
-    return _rerank_queries(store, output, index, scorer, cfg, [qid], query_split)[0]
+    return _rerank_queries(store, output, index, scorer, cfg, [qid], query_split, mode)[0]
 
 
 @dataclass
@@ -192,8 +192,7 @@ class RerankReport:
 def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
     """Top-1 accuracy of C alone, C->S (hard), and C x S (soft)."""
     labels = {rid: store.class_of(query_split, rid) for rid in store.ids(query_split)}
-    soft_cfg = RerankConfig(cfg.k, cfg.n_neighbors, "soft", cfg.prob_floor)
-    soft = rerank_split(store, output, index, scorer, soft_cfg, query_split)
+    soft = rerank_split(store, output, index, scorer, cfg, query_split)
     # hard mode re-ranks the same candidates by the same s scores
     hard = [
         _finalize(r.query_id, [replace(e) for e in r.entries], "hard") for r in soft

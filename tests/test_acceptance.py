@@ -374,7 +374,7 @@ def test_c03_oracle_ceiling_equivalence():
         index = ClassIndex.build(store)
         k = 4
         results = rerank_split(store, out, index, OracleScorer(),
-                               RerankConfig(k=k, mode="soft"))
+                               RerankConfig(k=k))
         acc = float(np.mean(
             [r.predicted == store.class_of("test", r.query_id) for r in results]
         ))
@@ -392,7 +392,7 @@ def test_c04_k1_invariance():
     out = clf.predict_split(store, "test")
     index = ClassIndex.build(store)
     results = rerank_split(store, out, index, CosineScorer(),
-                           RerankConfig(k=1, mode="soft"))
+                           RerankConfig(k=1))
     agree = [r.predicted == int(np.argmax(out.row(r.query_id))) for r in results]
     assert all(agree)
 

@@ -36,7 +36,7 @@ class TestPredictSynthetic:
     def test_dominant_logit(self):
         store, centroids = centered_store()
         clf = SyntheticClassifier(centroids, tau=0.01)
-        probs = clf.predict_record(store, "test", 0)
+        probs = clf.predict_split(store, "test").row(0)
         assert probs[store.class_of("test", 0)] > 0.99
 
     def test_equidistant_symmetry(self):
@@ -47,7 +47,7 @@ class TestPredictSynthetic:
             {"train": np.zeros((1, 1, 2)), "test": np.zeros((1, 1, 2))},
         )
         clf = SyntheticClassifier(centroids, tau=1.0)
-        probs = clf.predict_record(store, "test", 0)
+        probs = clf.predict_split(store, "test").row(0)
         assert probs[0] == pytest.approx(probs[1], abs=1e-9)
 
     def test_bad_temperature(self):
@@ -144,6 +144,17 @@ class TestPrecomputed:
         probs = np.array([[0.5, 0.5], [0.9, 0.05]])
         with pytest.raises(ValidationError, match="row 1"):
             ClassifierOutput("test", [0, 1], probs).validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, tmp_path, bad):
+        # NaN fails every comparison, so range and sum checks alone pass it
+        probs = np.array([[0.5, 0.5], [0.25, 0.75], [bad, bad]])
+        out = ClassifierOutput("test", [0, 1, 2], probs)
+        with pytest.raises(ValidationError, match="non-finite probability in row 2"):
+            out.validate()
+        save_outputs(out, tmp_path / "p.bin", tmp_path / "p.json")
+        with pytest.raises(ValidationError, match="row 2"):
+            load_precomputed(tmp_path / "p.bin", tmp_path / "p.json")
 
     def test_size_mismatch(self, tmp_path, small_store):
         store, centroids = small_store

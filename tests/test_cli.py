@@ -5,6 +5,7 @@ import pytest
 from pcnn import pairsampler
 from pcnn.classifier import SyntheticClassifier
 from pcnn.cli import main
+from pcnn.experiment import ExperimentConfig, run_seed
 from pcnn.nnindex import ClassIndex
 
 from conftest import record_calls
@@ -160,6 +161,61 @@ def test_commands_build_only_what_they_read(capsys, tmp_path, monkeypatch):
         assert code == 0, err
         assert out == before[cmd][1]
         assert sorted(built) == reads[cmd], cmd
+
+
+def test_commands_write_what_run_seed_writes(capsys, tmp_path):
+    """`sample`, `train` and `rerank` write run_seed's bytes, and `rerank`,
+    `sanity` and `ceiling` print its results.json sections."""
+    cfg = {
+        "seeds": [1],
+        "synthetic": TINY,
+        "sampler": {"q": 3},
+        "comparator": {"heads": 2},
+        "train": {"epochs": 2, "batch_size": 64, "max_lr": 0.02},
+        "rerank": {"k": 3},
+    }
+    ran_dir = tmp_path / "run" / "seed_1"
+    run_seed(ExperimentConfig(output_dir=str(tmp_path / "run"), **cfg), 1, str(ran_dir))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "output_dir": str(tmp_path / "cli")}))
+    printed = {}
+    for cmd in ("sample", "train", "rerank", "sanity", "ceiling"):
+        code, out, err = run_cli(capsys, cmd, "--config", str(path), "--seed", "1")
+        assert code == 0, err
+        printed[cmd] = json.loads(out)
+    ran = {p.name: p.read_bytes() for p in ran_dir.iterdir()}
+    written = {p.name: p.read_bytes() for p in (tmp_path / "cli" / "seed_1").iterdir()}
+    assert sorted(written) == sorted(set(ran) - {"results.json"})
+    for name, data in written.items():
+        assert data == ran[name], name
+    results = json.loads(ran["results.json"])
+    assert printed["rerank"] == results["rerank"]
+    assert printed["sanity"] == results["sanity"]
+    assert printed["ceiling"] == results["topq_ceiling"]
+    assert printed["train"] == {"selected_epoch": results["selected_epoch"],
+                                "f1": results["binary"]["f1"]}
+
+
+def test_rerank_mode_in_config_fails(capsys, tmp_path):
+    """`rerank.mode` is no config field: evaluate_rerank reports both modes."""
+    cfg = {
+        "seeds": [1],
+        "output_dir": str(tmp_path / "out"),
+        "synthetic": TINY,
+        "sampler": {"q": 3},
+        "comparator": {"heads": 2},
+        "train": {"epochs": 1, "batch_size": 64, "max_lr": 0.02},
+        "rerank": {"k": 3, "mode": "hard"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["--config", str(path), "--seed", "1"]
+    assert run_cli(capsys, "train", *argv)[0] == 0
+    code, _, err = run_cli(capsys, "rerank", *argv)
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["error"] == "StageError"
+    assert "'evaluation'" in doc["message"] and "mode" in doc["message"]
 
 
 def test_rerank_without_checkpoint_fails(cfg_path, capsys, tmp_path):

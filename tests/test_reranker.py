@@ -64,8 +64,8 @@ class TestRerank:
     def test_oracle_recovers_topk(self, world):
         # a perfect comparator must fix every query whose gt is in the top-K
         store, index, out = world
-        cfg = RerankConfig(k=3, mode="hard")
-        results = rerank_split(store, out, index, OracleScorer(), cfg)
+        cfg = RerankConfig(k=3)
+        results = rerank_split(store, out, index, OracleScorer(), cfg, mode="hard")
         ceiling = topq_ceiling(store, out, [3])[3]
         acc = np.mean(
             [r.predicted == store.class_of("test", r.query_id) for r in results]
@@ -80,8 +80,9 @@ class TestRerank:
         clf = SyntheticClassifier(centroids, tau=1.0, corruption_rate=0.4,
                                   corruption_q=3, seed=3)
         out = clf.predict_split(store, "train")
-        cfg = RerankConfig(k=3, mode="hard")
-        results = rerank_split(store, out, index, OracleScorer(), cfg, query_split="train")
+        cfg = RerankConfig(k=3)
+        results = rerank_split(store, out, index, OracleScorer(), cfg, query_split="train",
+                               mode="hard")
         acc = np.mean([r.predicted == store.class_of("train", r.query_id) for r in results])
         assert acc == topq_ceiling(store, out, [3], query_split="train")[3]
         for r in results:
@@ -90,7 +91,7 @@ class TestRerank:
     def test_soft_reduces_to_c_with_unit_scores(self, world):
         # constant score 1 makes prob x score the classifier ranking itself
         store, index, out = world
-        cfg = RerankConfig(k=4, mode="soft")
+        cfg = RerankConfig(k=4)
         results = rerank_split(store, out, index, FixedScorer({}, default=1.0), cfg)
         for r in results:
             assert r.predicted == int(np.argmax(out.row(r.query_id)))
@@ -98,8 +99,9 @@ class TestRerank:
     def test_hard_ignores_probability(self, world):
         store, index, out = world
         qid = store.ids("test")[0]
-        cfg = RerankConfig(k=3, mode="hard")
-        entries = rerank(store, out, index, FixedScorer({}, default=1.0), cfg, qid)
+        cfg = RerankConfig(k=3)
+        entries = rerank(store, out, index, FixedScorer({}, default=1.0), cfg, qid,
+                         mode="hard")
         # all scores equal: tie-break falls back to C probability
         assert entries.predicted == int(np.argmax(out.row(qid)))
         # now give the lowest-prob candidate a strictly higher score
@@ -109,12 +111,12 @@ class TestRerank:
         pooled = store.pooled("test", qid)
         nid, _ = index.nearest_in_class(pooled, low, rank=1)
         table[(qid, nid)] = 0.9
-        r = rerank(store, out, index, FixedScorer(table, default=0.4), cfg, qid)
+        r = rerank(store, out, index, FixedScorer(table, default=0.4), cfg, qid, mode="hard")
         assert r.predicted == low
 
     def test_single_matches_split(self, world):
         store, index, out = world
-        cfg = RerankConfig(k=3, mode="soft")
+        cfg = RerankConfig(k=3)
         scorer = CosineScorer()
         split = rerank_split(store, out, index, scorer, cfg)
         for r in split[:5]:
@@ -125,7 +127,7 @@ class TestRerank:
     def test_n_neighbors_averaging(self, world):
         store, index, out = world
         qid = store.ids("test")[1]
-        cfg = RerankConfig(k=2, n_neighbors=3, mode="hard")
+        cfg = RerankConfig(k=2, n_neighbors=3)
         pooled = store.pooled("test", qid)
         pred = top_q(out.row(qid), 2)
         table = {}
@@ -139,7 +141,7 @@ class TestRerank:
                 table[(qid, nid)] = v
                 vals.append(v)
             want[int(cid)] = np.mean(vals)
-        r = rerank(store, out, index, FixedScorer(table), cfg, qid)
+        r = rerank(store, out, index, FixedScorer(table), cfg, qid, mode="hard")
         for e in r.entries:
             assert e.s_score == pytest.approx(want[e.class_id])
         assert r.comparator_queries == 6
@@ -147,16 +149,16 @@ class TestRerank:
     def test_final_tie_breaks(self, world):
         store, index, out = world
         qid = store.ids("test")[2]
-        cfg = RerankConfig(k=3, mode="hard")
+        cfg = RerankConfig(k=3)
         # identical scores everywhere: tie-break is C prob, then lower id
-        r = rerank(store, out, index, FixedScorer({}, default=0.7), cfg, qid)
+        r = rerank(store, out, index, FixedScorer({}, default=0.7), cfg, qid, mode="hard")
         pred = top_q(out.row(qid), 3)
         assert r.predicted == int(pred.classes[0])
 
     def test_prob_floor_skips_classes(self, world):
         store, index, out = world
-        cfg = RerankConfig(k=5, mode="soft", prob_floor=0.2)
-        base = RerankConfig(k=5, mode="soft", prob_floor=0.0)
+        cfg = RerankConfig(k=5, prob_floor=0.2)
+        base = RerankConfig(k=5, prob_floor=0.0)
         scorer = CosineScorer()
         floored = rerank_split(store, out, index, scorer, cfg)
         full = rerank_split(store, out, index, scorer, base)
@@ -178,12 +180,19 @@ class TestRerank:
         for bad in (
             dict(k=0),
             dict(n_neighbors=0),
-            dict(mode="x"),
             dict(prob_floor=1.0),
             dict(prob_floor=-0.1),
         ):
             with pytest.raises(ValueError):
                 RerankConfig(**bad)
+        # the mode is a keyword of rerank_split/rerank, not a config field
+        with pytest.raises(TypeError):
+            RerankConfig(mode="hard")
+
+    def test_unknown_mode(self, world):
+        store, index, out = world
+        with pytest.raises(ValueError, match="unknown mode 'x'"):
+            rerank_split(store, out, index, CosineScorer(), RerankConfig(k=2), mode="x")
 
 
 class TestEvaluate:
@@ -208,8 +217,7 @@ class TestEvaluate:
         cfg = RerankConfig(k=3, n_neighbors=2, prob_floor=floor)
         report = evaluate_rerank(store, out, index, scorer, cfg)
         for mode, results in (("soft", report.results_soft), ("hard", report.results_hard)):
-            alone = rerank_split(store, out, index, scorer,
-                                 RerankConfig(3, 2, mode, floor))
+            alone = rerank_split(store, out, index, scorer, cfg, mode=mode)
             save_results(results, tmp_path / "one.jsonl")
             save_results(alone, tmp_path / "alone.jsonl")
             assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
