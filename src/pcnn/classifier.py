@@ -5,6 +5,7 @@ and can be weakened by a seeded corruption that swaps the top-1 probability
 with a uniformly chosen other class among its top-Q.
 """
 
+import hashlib
 import json
 import zlib
 from dataclasses import dataclass
@@ -14,6 +15,10 @@ import numpy as np
 from .atomicio import atomic_open
 
 PROB_SUM_TOL = 1e-4
+# dtype of a probability matrix written by `save_outputs`
+MATRIX_DTYPE = "<f8"
+# elements of the (rows, classes, depth) difference per block in `predict_split`
+_CHUNK = 1 << 18
 
 
 class ValidationError(ValueError):
@@ -42,6 +47,10 @@ class ClassifierOutput:
     def row(self, record_id):
         return self.probs[self._row[record_id]]
 
+    def probs_of(self, record_ids):
+        """Probability rows of the given record ids, as an (n, C) array."""
+        return self.probs[[self._row[rid] for rid in record_ids]]
+
     def validate(self):
         finite = np.isfinite(self.probs).all(axis=1)
         if not finite.all():
@@ -58,13 +67,18 @@ class ClassifierOutput:
 
 
 def top_q(probs, q):
-    """Top-Q classes by probability, descending; ties by ascending class id."""
+    """Top-Q classes by probability, descending; ties by ascending class id.
+
+    `probs` is one row (C,) or rows (n, C); the result has the same leading
+    shape, each row ranked on its own."""
     probs = np.asarray(probs)
     c = probs.shape[-1]
     if not 1 <= q <= c:
         raise ValueError(f"Q={q} out of range 1..{c}")
-    order = np.lexsort((np.arange(c), -probs))[:q]
-    return TopQPrediction(classes=order.astype(np.int64), probs=probs[order])
+    ids = np.broadcast_to(np.arange(c), probs.shape)
+    order = np.lexsort((ids, -probs), axis=-1)[..., :q]
+    return TopQPrediction(classes=order.astype(np.int64),
+                          probs=np.take_along_axis(probs, order, axis=-1))
 
 
 class SyntheticClassifier:
@@ -79,52 +93,60 @@ class SyntheticClassifier:
         self.corruption_q = int(corruption_q)
         self.seed = int(seed)
 
-    def _probs_for(self, pooled):
-        diff = self.centroids - pooled
-        logits = -np.einsum("ij,ij->i", diff, diff) / self.tau
-        logits -= logits.max()
-        e = np.exp(logits)
-        return e / e.sum()
-
-    def _corrupt(self, probs, split, record_id):
+    def _corrupt(self, probs, split, ids):
+        """Apply the seeded corruption to the rows of `probs` in place: each
+        record draws from its own (seed, split, id) stream whether its top-1
+        probability swaps with a uniformly chosen other class of its top-Q."""
+        q = min(self.corruption_q, probs.shape[1])
         split_tag = zlib.crc32(split.encode())
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, split_tag, record_id])
-        )
-        if rng.random() >= self.corruption_rate:
-            return probs
-        q = min(self.corruption_q, len(probs))
-        if q < 2:
-            return probs
-        pred = top_q(probs, q)
-        partner = pred.classes[1 + rng.integers(q - 1)]
-        top1 = pred.classes[0]
-        out = probs.copy()
-        out[top1], out[partner] = out[partner], out[top1]
-        return out
+        hit, pick = [], []
+        for i, rid in enumerate(ids):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([self.seed, split_tag, rid])
+            )
+            if rng.random() < self.corruption_rate and q >= 2:
+                hit.append(i)
+                pick.append(1 + rng.integers(q - 1))
+        if not hit:
+            return
+        classes = top_q(probs[hit], q).classes
+        top1 = classes[:, 0]
+        partner = classes[np.arange(len(hit)), pick]
+        probs[hit, top1], probs[hit, partner] = probs[hit, partner], probs[hit, top1]
 
     def predict_split(self, store, split):
         pooled = store.pooled_all(split)
         ids = store.ids(split)
-        rows = np.empty((len(ids), self.centroids.shape[0]))
-        for i, rid in enumerate(ids):
-            rows[i] = self._corrupt(self._probs_for(pooled[i]), split, rid)
-        return ClassifierOutput(split, ids, rows).validate()
+        c, d = self.centroids.shape
+        logits = np.empty((len(ids), c))
+        step = max(1, _CHUNK // (c * d))
+        for s in range(0, len(ids), step):
+            diff = self.centroids - pooled[s : s + step, None]
+            logits[s : s + step] = -np.einsum("nij,nij->ni", diff, diff) / self.tau
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        self._corrupt(probs, split, ids)
+        return ClassifierOutput(split, ids, probs).validate()
 
 
 # ------------------------------------------------------- file roundtrip
 
 
 def save_outputs(output, matrix_path, sidecar_path):
-    mat = output.probs.astype("<f4")
+    """Write the probabilities as raw little-endian f8 and a JSON sidecar
+    holding the ids, the dtype, the byte length and the sha256 of the matrix."""
+    blob = output.probs.astype("<f8").tobytes()
     with atomic_open(matrix_path, "wb") as fh:
-        fh.write(mat.tobytes())
+        fh.write(blob)
     with atomic_open(sidecar_path) as fh:
         json.dump(
             {
                 "split": output.split,
                 "ids": [int(i) for i in output.ids],
                 "classes": int(output.probs.shape[1]),
+                "dtype": MATRIX_DTYPE,
+                "bytes": len(blob),
+                "sha256": hashlib.sha256(blob).hexdigest(),
             },
             fh,
             indent=2,
@@ -132,11 +154,26 @@ def save_outputs(output, matrix_path, sidecar_path):
 
 
 def load_precomputed(matrix_path, sidecar_path):
+    """Load what `save_outputs` wrote. The dtype, byte length, sha256 and id
+    count are checked against the sidecar and every row is validated; a
+    failure raises ValidationError naming the file."""
     with open(sidecar_path) as fh:
         side = json.load(fh)
+    with open(matrix_path, "rb") as fh:
+        blob = fh.read()
     n, c = len(side["ids"]), int(side["classes"])
-    raw = np.fromfile(matrix_path, dtype="<f4")
-    if raw.size != n * c:
-        raise ValidationError(f"matrix has {raw.size} values, expected {n * c}")
-    probs = raw.reshape(n, c).astype(np.float64)
-    return ClassifierOutput(side["split"], side["ids"], probs).validate()
+    if side.get("dtype") != MATRIX_DTYPE:
+        raise ValidationError(f"{sidecar_path}: dtype {side.get('dtype')!r}, "
+                              f"expected {MATRIX_DTYPE!r}")
+    if side.get("bytes") != n * c * 8:
+        raise ValidationError(f"{sidecar_path}: {side.get('bytes')} bytes recorded "
+                              f"for {n} ids x {c} classes")
+    if len(blob) != n * c * 8:
+        raise ValidationError(f"{matrix_path}: {len(blob)} bytes, expected {n * c * 8}")
+    if hashlib.sha256(blob).hexdigest() != side.get("sha256"):
+        raise ValidationError(f"{matrix_path}: sha256 does not match {sidecar_path}")
+    probs = np.frombuffer(blob, dtype=MATRIX_DTYPE).reshape(n, c).astype(np.float64)
+    try:
+        return ClassifierOutput(side["split"], side["ids"], probs).validate()
+    except ValidationError as exc:
+        raise ValidationError(f"{matrix_path}: {exc}") from exc

@@ -96,7 +96,10 @@ def _build_data(cfg, seed):
 class Pipeline:
     """One seed's stages up to (but not including) comparator training.
 
-    The data stage (`store`, `centroids`, `spec`) loads at construction;
+    The data stage (`store`, `centroids`, `spec`) loads at construction,
+    and the sampler, comparator, training and re-rank configs are built
+    then too, so a bad config section fails, as StageError naming the stage
+    that reads it, before any stage runs;
     `index`, `classifier`, `out_train`, `out_test`, `train_pairs` and
     `eval_pairs` are each built on first read and then kept, so a caller
     pays only for the stages it reads. Every stage is seeded per record or
@@ -108,7 +111,16 @@ class Pipeline:
         self.cfg, self.seed = cfg, seed
         with _stage("data"):
             self.store, self.centroids, self.spec = _build_data(cfg, seed)
-        self.sampler_cfg = SamplerConfig(**{**{"seed": seed}, **cfg.sampler})
+        with _stage("sampling"):
+            self.sampler_cfg = SamplerConfig(**{"seed": seed, **cfg.sampler})
+        manifest = self.store.manifest
+        with _stage("training"):
+            self.comparator_cfg = ComparatorConfig(
+                **{"depth": manifest.depth, "tokens": manifest.tokens, **cfg.comparator}
+            )
+            self.train_cfg = TrainConfig(**{"seed": seed, **cfg.train})
+        with _stage("evaluation"):
+            self.rerank_cfg = RerankConfig(**cfg.rerank)
 
     @cached_property
     def index(self):
@@ -155,24 +167,20 @@ class Pipeline:
 def prepare(cfg, seed):
     """Load the data stage of one seed; every later stage builds on first read.
 
-    Raises StageError("data") at once for a bad manifest or payload; the
-    returned Pipeline raises StageError naming any later stage that fails.
+    Raises StageError at once for a bad manifest or payload ("data") or a
+    bad config section (the stage that reads it); the returned Pipeline
+    raises StageError naming any later stage that fails.
     """
     return Pipeline(cfg, seed)
 
 
-def train_comparator(cfg, seed, pipe):
-    comp_cfg = ComparatorConfig(
-        **{
-            **{"depth": pipe.store.manifest.depth, "tokens": pipe.store.manifest.tokens},
-            **cfg.comparator,
-        }
-    )
-    train_cfg = TrainConfig(**{**{"seed": seed}, **cfg.train})
-    model = ComparatorModel(comp_cfg, seed=seed)
+def train_comparator(pipe):
+    """Train a fresh comparator on the pipeline's train pairs, selecting the
+    epoch by F1 on its eval pairs."""
+    model = ComparatorModel(pipe.comparator_cfg, seed=pipe.seed)
     with _stage("training"):
         return comparator.train(
-            model, pipe.store, pipe.train_pairs, pipe.eval_pairs, train_cfg
+            model, pipe.store, pipe.train_pairs, pipe.eval_pairs, pipe.train_cfg
         )
 
 
@@ -222,7 +230,7 @@ def train_step(pipe, out):
     and the selected epoch with its F1, which the checkpoint header's
     `extra` also holds next to the seed.
     """
-    model, report = train_comparator(pipe.cfg, pipe.seed, pipe)
+    model, report = train_comparator(pipe)
     doc = {"selected_epoch": report.selected_epoch,
            "f1": report.epochs[report.selected_epoch]["f1"]}
     comparator.save_checkpoint(model, *checkpoint_paths(out),
@@ -242,7 +250,7 @@ def rerank_step(pipe, model, out):
     """Soft and hard re-ranking of the test split; write both rerank_*.jsonl."""
     with _stage("evaluation"):
         rr = reranker.evaluate_rerank(pipe.store, pipe.out_test, pipe.index,
-                                      ModelScorer(model), RerankConfig(**pipe.cfg.rerank))
+                                      ModelScorer(model), pipe.rerank_cfg)
     reranker.save_results(rr.results_soft, os.path.join(out, "rerank_soft.jsonl"))
     reranker.save_results(rr.results_hard, os.path.join(out, "rerank_hard.jsonl"))
     return {"accuracy_c": rr.accuracy_c, "accuracy_soft": rr.accuracy_soft,

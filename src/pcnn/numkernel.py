@@ -136,7 +136,11 @@ def _unbroadcast(g, shape):
 
 
 def backward(tape, loss):
-    """Reverse-replay the tape, accumulating grads into requiring tensors."""
+    """Reverse-replay the tape, accumulating grads into requiring tensors.
+
+    Every consumer of a tape node comes after it on the tape, so a node's
+    grad is complete when it is reached; it is dropped once propagated, which
+    frees it while the replay goes on. Leaf grads are kept."""
     if not any(n is loss for n in tape.nodes):
         raise TapeError("loss was not produced under this tape")
     if loss.data.shape != ():
@@ -146,6 +150,7 @@ def backward(tape, loss):
         if node.grad is None or node._backward is None:
             continue
         node._backward(node.grad)
+        node.grad = None
 
 
 # ---------------------------------------------------------------- primitives

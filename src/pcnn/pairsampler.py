@@ -10,7 +10,6 @@ Evaluation sets additionally drop pairs whose grids are bitwise identical
 and are trimmed (seeded) to an exact 50/50 label balance.
 """
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -66,42 +65,45 @@ class PairSet:
         return [p for p in self.pairs if p.label == NEGATIVE]
 
 
-def _negative_classes(config, pred, gt, in_topq, qid, num_classes):
+def _negatives(config, classes, gts, in_topq, qids, num_classes):
+    """(query position, class) of every negative, query by query: the top-Q
+    classes other than the ground truth in hard mode; in random mode, other
+    classes drawn from a per-query seeded stream."""
     if config.negative_mode == "hard_topQ":
-        return [int(c) for c in pred.classes if c != gt]
-    want = config.q - 1 if in_topq else config.q
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, qid]))
-    others = np.array([c for c in range(num_classes) if c != gt])
-    return [int(c) for c in rng.choice(others, size=want, replace=False)]
+        neg_query, at = (classes != gts[:, None]).nonzero()
+        return neg_query, classes[neg_query, at]
+    drawn = []
+    for qid, gt, hit in zip(qids, gts.tolist(), in_topq.tolist()):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, qid]))
+        others = np.delete(np.arange(num_classes), gt)
+        drawn.append(rng.choice(others, size=config.q - 1 if hit else config.q,
+                                replace=False))
+    neg_query = np.repeat(np.arange(len(qids)), [len(d) for d in drawn])
+    return neg_query, np.concatenate([np.empty(0, np.int64), *drawn])
 
 
 def _sample(store, output, index, config, split):
-    num_classes = store.manifest.num_classes
     qids = store.ids(split)
-    queries = store.pooled_all(split)[store.rows(split, qids)]
-    gts, neg_classes, gt_flags = [], [], {}
-    for qid in qids:
-        gt = store.class_of(split, qid)
-        pred = top_q(output.row(qid), config.q)
-        in_topq = gt in pred.classes
-        gts.append(gt)
-        neg_classes.append(_negative_classes(config, pred, gt, in_topq, qid, num_classes))
-        gt_flags[qid] = in_topq
+    ids = np.array(qids, dtype=np.int64)
+    queries = store.pooled_all(split)
+    gts = store.labels(split)
+    classes = top_q(output.probs_of(qids), config.q).classes
+    in_topq = (classes == gts[:, None]).any(axis=1)
+    neg_query, neg_class = _negatives(
+        config, classes, gts, in_topq, qids, store.manifest.num_classes
+    )
 
     # retrieve class by class, for every query that needs the class at once
-    gt_arr = np.array(gts, dtype=np.int64)
     positives = np.empty((len(qids), config.q), dtype=np.int64)
-    for cid in np.unique(gt_arr).tolist():
-        at = (gt_arr == cid).nonzero()[0]
-        exclude = np.array(qids, dtype=np.int64)[at] if split == "train" else None
+    for cid in np.unique(gts).tolist():
+        at = (gts == cid).nonzero()[0]
+        exclude = ids[at] if split == "train" else None
         try:
             positives[at] = index.nearest_k_many(queries[at], cid, config.q, exclude)
         except InsufficientCandidatesError as exc:
             raise InsufficientCandidatesError(
                 f"class {cid} too small for {config.q} positives: {exc}"
             ) from exc
-    neg_query = np.repeat(np.arange(len(qids)), [len(c) for c in neg_classes])
-    neg_class = np.array([c for cs in neg_classes for c in cs], dtype=np.int64)
     negatives = np.empty(len(neg_class), dtype=np.int64)
     for cid in np.unique(neg_class).tolist():
         at = (neg_class == cid).nonzero()[0]
@@ -113,17 +115,20 @@ def _sample(store, output, index, config, split):
             ) from exc
         negatives[at] = hits[:, -1]
 
-    pairs = []
-    neg_ids = iter(negatives.tolist())
-    for qid, gt, pos_ids, classes in zip(qids, gts, positives.tolist(), neg_classes):
-        pairs.extend(
-            PairSample(qid, nid, POSITIVE, gt, rank)
-            for rank, nid in enumerate(pos_ids, start=1)
-        )
-        pairs.extend(
-            PairSample(qid, next(neg_ids), NEGATIVE, cid, config.nn_rank) for cid in classes
-        )
-    return PairSet(split, config, pairs, gt_flags)
+    # each query's positives by rank, then its negatives in class order
+    n, q = positives.shape
+    query = np.concatenate([np.repeat(np.arange(n), q), neg_query])
+    order = np.argsort(query, kind="stable")
+    columns = (
+        ids[query],
+        np.concatenate([positives.ravel(), negatives]),
+        np.repeat([POSITIVE, NEGATIVE], [n * q, len(negatives)]),
+        np.concatenate([np.repeat(gts, q), neg_class]),
+        np.concatenate([np.tile(np.arange(1, q + 1), n),
+                        np.full(len(negatives), config.nn_rank)]),
+    )
+    pairs = list(map(PairSample, *(c[order].tolist() for c in columns)))
+    return PairSet(split, config, pairs, dict(zip(qids, in_topq.tolist())))
 
 
 def sample_train(store, output, index, config):
@@ -133,28 +138,26 @@ def sample_train(store, output, index, config):
 def sample_eval(store, output, index, config):
     """Test-split sampling with identical-grid dedup and exact 50/50 balance."""
     pairset = _sample(store, output, index, config, "test")
-    kept = []
-    test_grids, train_grids = store.grids("test"), store.grids("train")
-    # pairs come grouped by query: compare each query's grid with its
-    # neighbours' grids, gathered once per query
-    for qid, group in itertools.groupby(pairset.pairs, key=lambda p: p.query_id):
-        group = list(group)
-        qg = test_grids[store.rows("test", [qid])[0]]
-        ng = train_grids[store.rows("train", [p.neighbor_id for p in group])]
-        same = (ng == qg).all(axis=(1, 2))
-        kept.extend(p for p, dup in zip(group, same) if not dup)
-    pos = [p for p in kept if p.label == POSITIVE]
-    neg = [p for p in kept if p.label == NEGATIVE]
+    rows1 = store.rows("test", [p.query_id for p in pairset.pairs])
+    rows2 = store.rows("train", [p.neighbor_id for p in pairset.pairs])
+    # identical grids have identical pooled vectors: compare the grids of
+    # the pooled matches only
+    pooled1, pooled2 = store.pooled_all("test")[rows1], store.pooled_all("train")[rows2]
+    dup = (pooled1 == pooled2).all(axis=1)
+    at = dup.nonzero()[0]
+    grids1, grids2 = store.grids("test")[rows1[at]], store.grids("train")[rows2[at]]
+    dup[at] = (grids1 == grids2).all(axis=(1, 2))
+    keep = ~dup
+    label = np.array([p.label for p in pairset.pairs], dtype=np.int64)
+    pos = (keep & (label == POSITIVE)).nonzero()[0]
+    neg = (keep & (label == NEGATIVE)).nonzero()[0]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBA1A]))
     target = min(len(pos), len(neg))
     # the construction can leave either side in excess; trim the larger one
     for side in (pos, neg):
         if len(side) > target:
-            drop = set(rng.choice(len(side), size=len(side) - target, replace=False))
-            side[:] = [p for i, p in enumerate(side) if i not in drop]
-    balanced = pos + neg
-    order = {id(p): i for i, p in enumerate(pairset.pairs)}
-    balanced.sort(key=lambda p: order[id(p)])
+            keep[side[rng.choice(len(side), size=len(side) - target, replace=False)]] = False
+    balanced = [p for p, k in zip(pairset.pairs, keep.tolist()) if k]
     return PairSet("test", config, balanced, pairset.gt_in_topq)
 
 

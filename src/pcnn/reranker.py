@@ -7,7 +7,7 @@ either by probability x score (soft, product of experts) or by score alone
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,27 +108,21 @@ class CosineScorer:
 
 
 def _candidates(store, index, query_split, qids, output, cfg):
-    """(qid, top-K entries) per query with their retrieved neighbors, fetched
-    class by class for all queries at once; s scores filled in later."""
-    per_query, wanted = [], {}  # class id -> [(query position, entry)]
-    for at, qid in enumerate(qids):
-        probs = output.row(qid)
-        pred = top_q(probs, min(cfg.k, len(probs)))
-        entries = []
-        for cid, p in zip(pred.classes.tolist(), pred.probs.tolist()):
-            entries.append(ClassEntry(cid, p, [], None, -np.inf))
-            if not (cfg.prob_floor > 0 and p < cfg.prob_floor):
-                wanted.setdefault(cid, []).append((at, entries[-1]))
-        per_query.append((qid, entries))
+    """Top-K classes of every query with their probabilities, the mask of
+    classes at or above the probability floor, and each such class's
+    retrieved neighbors as an (n, K, n_neighbors) id array, fetched class by
+    class for all the queries that want the class at once."""
+    pred = top_q(output.probs_of(qids), min(cfg.k, output.probs.shape[1]))
+    wanted = ~((cfg.prob_floor > 0) & (pred.probs < cfg.prob_floor))
     queries = store.pooled_all(query_split)[store.rows(query_split, qids)]
     ids = np.array(qids, dtype=np.int64)
-    for cid, want in wanted.items():
-        at = np.array([i for i, _ in want])
+    neighbors = np.zeros((*wanted.shape, cfg.n_neighbors), dtype=np.int64)
+    for cid in np.unique(pred.classes[wanted]).tolist():
+        at, rank = ((pred.classes == cid) & wanted).nonzero()
         exclude = ids[at] if query_split == "train" else None
-        neigh = index.nearest_k_many(queries[at], cid, cfg.n_neighbors, exclude)
-        for (_, entry), row in zip(want, neigh.tolist()):
-            entry.neighbor_ids = row
-    return per_query
+        neighbors[at, rank] = index.nearest_k_many(queries[at], cid, cfg.n_neighbors,
+                                                   exclude)
+    return pred.classes, pred.probs, wanted, neighbors
 
 
 def _finalize(qid, entries, mode):
@@ -146,24 +140,26 @@ def _rerank_queries(store, output, index, scorer, cfg, qids, query_split, mode):
     """Re-rank the given queries; all their pairs go to one scorer call."""
     if mode not in ("soft", "hard"):
         raise ValueError(f"unknown mode {mode!r}")
-    per_query = _candidates(store, index, query_split, qids, output, cfg)
-    pairs = [
-        (qid, nid) for qid, entries in per_query for e in entries for nid in e.neighbor_ids
-    ]
-    if pairs:
-        scores = scorer.score(
-            store.rows(query_split, [q for q, _ in pairs]),
-            store.rows("train", [n for _, n in pairs]),
-            store=store, query_split=query_split,
-        )
-        start = 0
-        for _, entries in per_query:
-            for e in entries:
-                if e.neighbor_ids:
-                    stop = start + len(e.neighbor_ids)
-                    e.s_score = float(np.mean(scores[start:stop]))
-                    start = stop
-    return [_finalize(qid, entries, mode) for qid, entries in per_query]
+    classes, probs, wanted, neighbors = _candidates(
+        store, index, query_split, qids, output, cfg
+    )
+    # pairs in (query, class, neighbor) order; an entry's s score is the
+    # mean over its n_neighbors consecutive pairs
+    at, rank = wanted.nonzero()
+    s_scores = np.zeros(wanted.shape)
+    if len(at):
+        rows1 = store.rows(query_split, qids)[np.repeat(at, cfg.n_neighbors)]
+        rows2 = store.rows("train", neighbors[at, rank].ravel().tolist())
+        scores = scorer.score(rows1, rows2, store=store, query_split=query_split)
+        s_scores[at, rank] = scores.reshape(-1, cfg.n_neighbors).mean(axis=1)
+    # a class under the probability floor keeps no neighbors and no s score
+    columns = (classes, probs, wanted, neighbors, s_scores)
+    results = []
+    for qid, *row in zip(qids, *(col.tolist() for col in columns)):
+        entries = [ClassEntry(c, p, n if w else [], s if w else None, -np.inf)
+                   for c, p, w, n, s in zip(*row)]
+        results.append(_finalize(qid, entries, mode))
+    return results
 
 
 def rerank_split(store, output, index, scorer, cfg, query_split="test", mode="soft"):
@@ -191,18 +187,18 @@ class RerankReport:
 
 def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
     """Top-1 accuracy of C alone, C->S (hard), and C x S (soft)."""
-    labels = {rid: store.class_of(query_split, rid) for rid in store.ids(query_split)}
+    ids, labels = store.ids(query_split), store.labels(query_split)
     soft = rerank_split(store, output, index, scorer, cfg, query_split)
     # hard mode re-ranks the same candidates by the same s scores
     hard = [
-        _finalize(r.query_id, [replace(e) for e in r.entries], "hard") for r in soft
+        _finalize(r.query_id, [ClassEntry(e.class_id, e.prob, e.neighbor_ids, e.s_score,
+                                          -np.inf) for e in r.entries], "hard")
+        for r in soft
     ]
     n = len(soft)
-    acc_c = np.mean(
-        [int(np.argmax(output.row(rid)) == labels[rid]) for rid in store.ids(query_split)]
-    )
-    acc_soft = np.mean([int(r.predicted == labels[r.query_id]) for r in soft])
-    acc_hard = np.mean([int(r.predicted == labels[r.query_id]) for r in hard])
+    acc_c = np.mean(np.argmax(output.probs_of(ids), axis=1) == labels)
+    acc_soft = np.mean(np.array([r.predicted for r in soft], dtype=np.int64) == labels)
+    acc_hard = np.mean(np.array([r.predicted for r in hard], dtype=np.int64) == labels)
     mean_q = float(np.mean([r.comparator_queries for r in soft])) if n else 0.0
     return RerankReport(
         accuracy_c=float(acc_c),
@@ -268,13 +264,16 @@ def sanity_suite(model, store, query_split="test", seed=0, batch=64):
     self_rate = rate(grids, rows)
     random_grids = rng.uniform(lo, hi, size=grids.shape)
     random_rate = rate(random_grids, rows)
-    # emulate a shuffled dataloader: random order, partner = next in batch
+    # emulate a shuffled dataloader: random order, partner = next in batch;
+    # a one-record tail joins the batch before it, or it would pair with itself
     order = rng.permutation(len(ids))
     partner = np.empty(len(ids), dtype=np.int64)
-    for start in range(0, len(ids), batch):
-        n = min(batch, len(ids) - start)
-        block = order[start : start + n]
-        partner[block] = block[(np.arange(n) + 1) % n]
+    starts = list(range(0, len(ids), batch))
+    if len(starts) > 1 and len(ids) - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [len(ids)]):
+        block = order[lo:hi]
+        partner[block] = np.roll(block, -1)
     shuffled_rate = rate(grids, partner)
     return SanityReport(self_rate, random_rate, shuffled_rate)
 
@@ -282,11 +281,6 @@ def sanity_suite(model, store, query_split="test", seed=0, batch=64):
 def topq_ceiling(store, output, q_values, query_split="test"):
     """Cumulative top-Q accuracy table: fraction of queries with gt in top-Q."""
     labels = store.labels(query_split)
-    order = np.argsort(-output.probs, axis=1, kind="stable")
-    rows = {}
-    ranks = np.empty(len(labels), dtype=np.int64)
-    for i, rid in enumerate(output.ids):
-        ranks[i] = int(np.where(order[i] == labels[i])[0][0])
-    for q in q_values:
-        rows[int(q)] = float(np.mean(ranks < q))
-    return rows
+    order = np.argsort(-output.probs_of(store.ids(query_split)), axis=1, kind="stable")
+    ranks = np.argmax(order == labels[:, None], axis=1)
+    return {int(q): float(np.mean(ranks < q)) for q in q_values}

@@ -54,7 +54,7 @@ def hard_runs(tmp_path_factory):
     for seed in SEEDS:
         cfg = _bench_cfg(tmp, seed)
         pipe = prepare(cfg, seed)
-        model, report = train_comparator(cfg, seed, pipe)
+        model, report = train_comparator(pipe)
         scorer = ModelScorer(model)
         rr = evaluate_rerank(pipe.store, pipe.out_test, pipe.index, scorer,
                              RerankConfig(k=10))
@@ -74,7 +74,7 @@ def random_runs(tmp_path_factory):
     for seed in SEEDS:
         cfg = _bench_cfg(tmp, seed, sampler={"negative_mode": "random_class"})
         pipe = prepare(cfg, seed)
-        model, _ = train_comparator(cfg, seed, pipe)
+        model, _ = train_comparator(pipe)
         rr = evaluate_rerank(pipe.store, pipe.out_test, pipe.index,
                              ModelScorer(model), RerankConfig(k=10))
         accs[seed] = rr.accuracy_soft
@@ -87,7 +87,7 @@ def q3_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("q3")
     cfg = _bench_cfg(tmp, 42, sampler={"q": 3})
     pipe = prepare(cfg, 42)
-    model, _ = train_comparator(cfg, 42, pipe)
+    model, _ = train_comparator(pipe)
     return model
 
 

@@ -1,6 +1,10 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
+from pcnn import classifier
 from pcnn.classifier import (
     ClassifierOutput,
     SyntheticClassifier,
@@ -30,6 +34,27 @@ def centered_store(classes=4, depth=6, per_class=3):
     store = build_store("c", [f"c{i}" for i in range(classes)], records,
                         {s: np.array(grids[s]) for s in ("train", "test")})
     return store, centroids
+
+
+def reference_predict(clf, store, split):
+    """Per-record reference of `predict_split`: the softmax of one row, then
+    its seeded corruption, with the top-Q ranked by a sort."""
+    rows = []
+    tag = zlib.crc32(split.encode())
+    for rid, pooled in zip(store.ids(split), store.pooled_all(split)):
+        diff = clf.centroids - pooled
+        logits = -np.einsum("ij,ij->i", diff, diff) / clf.tau
+        logits -= logits.max()
+        e = np.exp(logits)
+        p = e / e.sum()
+        rng = np.random.default_rng(np.random.SeedSequence([clf.seed, tag, rid]))
+        q = min(clf.corruption_q, len(p))
+        if rng.random() < clf.corruption_rate and q >= 2:
+            ranked = sorted(range(len(p)), key=lambda c: (-p[c], c))[:q]
+            top1, partner = ranked[0], ranked[1 + rng.integers(q - 1)]
+            p[top1], p[partner] = p[partner], p[top1]
+        rows.append(p)
+    return np.array(rows)
 
 
 class TestPredictSynthetic:
@@ -83,6 +108,20 @@ class TestPredictSynthetic:
             a.predict_split(store, "test").probs, b.predict_split(store, "test").probs
         )
 
+    @pytest.mark.parametrize("chunk", [1, 64, classifier._CHUNK])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_matches_per_record_reference(self, monkeypatch, chunk, split):
+        # chunk 1 and 64 split the rows over many distance blocks
+        monkeypatch.setattr(classifier, "_CHUNK", chunk)
+        store, centroids = toy_store(classes=7, per_class=9, depth=6, seed=3, noise=2.0)
+        clf = SyntheticClassifier(centroids, tau=2.0, corruption_rate=0.6,
+                                  corruption_q=4, seed=5)
+        got = clf.predict_split(store, split).probs
+        want = reference_predict(clf, store, split)
+        assert not np.array_equal(want, reference_predict(
+            SyntheticClassifier(centroids, tau=2.0, seed=5), store, split))
+        np.testing.assert_array_equal(got, want)
+
     def test_probs_sum_to_one(self, small_store):
         store, centroids = small_store
         clf = SyntheticClassifier(centroids, tau=1.0, corruption_rate=0.5, seed=0)
@@ -126,15 +165,60 @@ class TestTopQ:
             )
 
 
+    @pytest.mark.parametrize("q", [1, 2, 5, 8])
+    def test_rows_match_per_row_reference(self, q):
+        # probabilities drawn from four values, so most rows hold many ties
+        rng = np.random.default_rng(6)
+        probs = rng.choice([0.0, 0.05, 0.1, 0.25], size=(200, 8))
+        pred = top_q(probs, q)
+        assert pred.classes.shape == pred.probs.shape == (200, q)
+        for row, classes, got in zip(probs, pred.classes, pred.probs):
+            want = sorted(range(8), key=lambda c: (-row[c], c))[:q]
+            np.testing.assert_array_equal(classes, want)
+            np.testing.assert_array_equal(got, row[want])
+            np.testing.assert_array_equal(classes, top_q(row, q).classes)
+
+
+@pytest.fixture
+def saved(tmp_path, small_store):
+    store, centroids = small_store
+    out = SyntheticClassifier(centroids, tau=1.0, corruption_rate=0.5).predict_split(
+        store, "test")
+    save_outputs(out, tmp_path / "p.bin", tmp_path / "p.json")
+    return out, tmp_path / "p.bin", tmp_path / "p.json"
+
+
 class TestPrecomputed:
-    def test_roundtrip(self, tmp_path, small_store):
-        store, centroids = small_store
-        clf = SyntheticClassifier(centroids, tau=1.0)
-        out = clf.predict_split(store, "test")
-        save_outputs(out, tmp_path / "p.bin", tmp_path / "p.json")
-        loaded = load_precomputed(tmp_path / "p.bin", tmp_path / "p.json")
+    def test_roundtrip(self, saved):
+        out, matrix, sidecar = saved
+        loaded = load_precomputed(matrix, sidecar)
         assert loaded.split == "test"
-        np.testing.assert_allclose(loaded.probs, out.probs, atol=1e-7)
+        assert loaded.ids == out.ids
+        np.testing.assert_array_equal(loaded.probs, out.probs)
+
+    def test_flipped_byte_rejected(self, saved):
+        _, matrix, sidecar = saved
+        blob = bytearray(matrix.read_bytes())
+        blob[13] ^= 0x01
+        matrix.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match=f"{matrix}: sha256"):
+            load_precomputed(matrix, sidecar)
+
+    def test_truncated_matrix_rejected(self, saved):
+        _, matrix, sidecar = saved
+        matrix.write_bytes(matrix.read_bytes()[:-8])
+        with pytest.raises(ValidationError, match=f"{matrix}: .* bytes, expected"):
+            load_precomputed(matrix, sidecar)
+
+    @pytest.mark.parametrize("key, value", [("dtype", "<f4"), ("ids", [0, 1]),
+                                            ("bytes", 8)])
+    def test_sidecar_disagreement_rejected(self, saved, key, value):
+        _, matrix, sidecar = saved
+        side = json.loads(sidecar.read_text())
+        side[key] = value
+        sidecar.write_text(json.dumps(side))
+        with pytest.raises(ValidationError, match=str(sidecar)):
+            load_precomputed(matrix, sidecar)
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValidationError):

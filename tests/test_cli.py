@@ -197,7 +197,9 @@ def test_commands_write_what_run_seed_writes(capsys, tmp_path):
 
 
 def test_rerank_mode_in_config_fails(capsys, tmp_path):
-    """`rerank.mode` is no config field: evaluate_rerank reports both modes."""
+    """`rerank.mode` is no config field: evaluate_rerank reports both modes.
+    Every config section is checked when the pipeline is built, so `train`
+    fails too, before it trains anything."""
     cfg = {
         "seeds": [1],
         "output_dir": str(tmp_path / "out"),
@@ -210,12 +212,13 @@ def test_rerank_mode_in_config_fails(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     argv = ["--config", str(path), "--seed", "1"]
-    assert run_cli(capsys, "train", *argv)[0] == 0
-    code, _, err = run_cli(capsys, "rerank", *argv)
-    assert code == 1
-    doc = json.loads(err)
-    assert doc["error"] == "StageError"
-    assert "'evaluation'" in doc["message"] and "mode" in doc["message"]
+    for cmd in ("train", "rerank"):
+        code, _, err = run_cli(capsys, cmd, *argv)
+        assert code == 1
+        doc = json.loads(err)
+        assert doc["error"] == "StageError"
+        assert "'evaluation'" in doc["message"] and "mode" in doc["message"]
+    assert not (tmp_path / "out" / "seed_1" / "checkpoint.bin").exists()
 
 
 def test_rerank_without_checkpoint_fails(cfg_path, capsys, tmp_path):

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pcnn import pairsampler
+from pcnn import comparator, pairsampler
 from pcnn.classifier import SyntheticClassifier
 from pcnn.experiment import (
     ExperimentConfig,
@@ -165,6 +165,28 @@ class TestPipeline:
         with pytest.raises(StageError, match="data"):
             prepare(cfg, 1)
 
+    @pytest.mark.parametrize("section, bad, stage", [
+        ("sampler", {"q": 1}, "sampling"),
+        ("sampler", {"negative_mode": "bogus"}, "sampling"),
+        ("comparator", {"heads": 3}, "training"),  # depth 8
+        ("train", {"epochs": 0}, "training"),
+        ("rerank", {"k": 0}, "evaluation"),
+        ("rerank", {"prob_floor": 1.0}, "evaluation"),
+        ("rerank", {"k": 3, "mode": "hard"}, "evaluation"),
+    ])
+    def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
+                                                       section, bad, stage):
+        def no_training(*args, **kwargs):
+            raise AssertionError("comparator.train was called")
+
+        monkeypatch.setattr(comparator, "train", no_training)
+        cfg = tiny_cfg(tmp_path, **{section: bad})
+        with pytest.raises(StageError) as info:
+            run_seed(cfg, 1, str(tmp_path / "out" / "seed_1"))
+        assert info.value.stage == stage
+        with pytest.raises(StageError, match=stage):
+            prepare(cfg, 1)
+
     def test_subsample_shrinks_index(self, tmp_path):
         cfg = tiny_cfg(tmp_path, subsample_fraction=0.5, sampler={"q": 2})
         pipe = prepare(cfg, 1)
@@ -233,7 +255,7 @@ class TestRun:
         run_seed(cfg, 1, str(out_dir))
         model, header = load_checkpoint(out_dir / "checkpoint.bin", out_dir / "checkpoint.json")
         pipe = prepare(cfg, 1)
-        fresh, _ = train_comparator(cfg, 1, pipe)
+        fresh, _ = train_comparator(pipe)
         g1 = pipe.store.grids("test")[:8]
         g2 = pipe.store.grids("train")[:8]
         np.testing.assert_array_equal(

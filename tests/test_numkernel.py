@@ -421,6 +421,35 @@ class TestTrainingStep:
             np.testing.assert_array_equal(grads[0][name], grads[1][name], err_msg=name)
 
 
+    def test_backward_drops_tape_grads_and_keeps_parameter_grads(self):
+        def step(model, replay):
+            rng = np.random.default_rng(32)
+            g1, g2 = rng.normal(size=(2, 6, 3, 16))
+            with nk.Tape() as tape:
+                loss = nk.bce_with_logits(model.forward_logits(g1, g2, mode="train"),
+                                          np.array([1.0, 0.0] * 3))
+            for _, t in model.parameters():
+                t.grad = None
+            replay(tape, loss)
+            return tape, {name: t.grad.copy() for name, t in model.parameters()}
+
+        def replay_keeping_grads(tape, loss):
+            # reference replay that leaves every tape node's grad in place
+            loss.grad = np.ones(())
+            for node in reversed(tape.nodes):
+                if node.grad is not None and node._backward is not None:
+                    node._backward(node.grad)
+
+        model = ComparatorModel(ComparatorConfig(depth=16, tokens=3, heads=4), seed=2)
+        model.mlp_w[3].data = np.random.default_rng(33).normal(size=model.mlp_w[3].data.shape)
+        tape, got = step(model, nk.backward)
+        assert all(node.grad is None for node in tape.nodes)
+        ref_tape, want = step(model, replay_keeping_grads)
+        assert any(node.grad is not None for node in ref_tape.nodes)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
 class TestBce:
     def test_ln2_at_zero(self):
         loss = nk.bce_with_logits(nk.Tensor([0.0]), np.array([1.0]))

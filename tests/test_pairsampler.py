@@ -197,6 +197,112 @@ class TestEvalSampling:
         assert all(t in it for t in got)
 
 
+def reference_sample(store, output, index, config, split):
+    """Per-query reference of `_sample`: (query, neighbor, label, class,
+    rank) tuples and the gt-in-top-Q flags, retrieved one query and one
+    class at a time."""
+    pairs, flags = [], {}
+    num_classes = store.manifest.num_classes
+    for qid, pooled in zip(store.ids(split), store.pooled_all(split)):
+        gt = store.class_of(split, qid)
+        probs = output.row(qid)
+        top = sorted(range(num_classes), key=lambda c: (-probs[c], c))[: config.q]
+        flags[qid] = gt in top
+        exclude = {qid} if split == "train" else ()
+        for rank, (nid, _) in enumerate(
+            index.nearest_k_in_class(pooled, gt, config.q, exclude), start=1
+        ):
+            pairs.append((qid, nid, POSITIVE, gt, rank))
+        if config.negative_mode == "hard_topQ":
+            negs = [c for c in top if c != gt]
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, qid]))
+            others = np.array([c for c in range(num_classes) if c != gt])
+            want = config.q - 1 if flags[qid] else config.q
+            negs = rng.choice(others, size=want, replace=False).tolist()
+        for cid in negs:
+            nid, _ = index.nearest_in_class(pooled, cid, rank=config.nn_rank)
+            pairs.append((qid, nid, NEGATIVE, cid, config.nn_rank))
+    return pairs, flags
+
+
+def reference_eval(store, raw, seed):
+    """Per-pair reference of sample_eval's dedupe and seeded 50/50 trim;
+    also returns how many more negatives than positives the dedupe left."""
+    kept = [t for t in raw if not np.array_equal(store.grid("test", t[0]),
+                                                 store.grid("train", t[1]))]
+    pos = [t for t in kept if t[2] == POSITIVE]
+    neg = [t for t in kept if t[2] == NEGATIVE]
+    excess = len(neg) - len(pos)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA1A]))
+    target = min(len(pos), len(neg))
+    for side in (pos, neg):
+        if len(side) > target:
+            drop = set(rng.choice(len(side), size=len(side) - target, replace=False))
+            side[:] = [t for i, t in enumerate(side) if i not in drop]
+    chosen = set(pos + neg)
+    return [t for t in kept if t in chosen], excess
+
+
+def as_tuples(pairset):
+    return [(p.query_id, p.neighbor_id, p.label, p.source_class, p.nn_rank)
+            for p in pairset.pairs]
+
+
+class TestBatchedParity:
+    @pytest.mark.parametrize("mode", ["hard_topQ", "random_class"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_sample_matches_per_query_reference(self, pipeline, mode, split):
+        store, index, out_train, out_test = pipeline
+        output = out_train if split == "train" else out_test
+        cfg = SamplerConfig(q=3, nn_rank=2, negative_mode=mode, seed=4)
+        got = pairsampler._sample(store, output, index, cfg, split)
+        want, flags = reference_sample(store, output, index, cfg, split)
+        assert as_tuples(got) == want
+        assert got.gt_in_topq == flags
+        assert set(flags.values()) == {True, False}
+
+    @pytest.mark.parametrize("mode", ["hard_topQ", "random_class"])
+    @pytest.mark.parametrize("twins", [1, 24])
+    def test_sample_eval_matches_per_pair_reference(self, mode, twins):
+        """Planted duplicate grids drop their pairs; 24 of them leave fewer
+        positives than negatives, so the trim then cuts the negatives."""
+        store, centroids = toy_store(classes=4, per_class=6, seed=4)
+        grids = {s: store.grids(s).copy() for s in ("train", "test")}
+        for qid in store.ids("test")[:twins]:
+            twin = store.by_class("train", store.class_of("test", qid))[qid % 6]
+            grids["test"][store.rows("test", [qid])[0]] = store.grid("train", twin)
+        store = build_store("toy", store.manifest.class_names, store.manifest.records, grids)
+        index = ClassIndex.build(store)
+        out_test = SyntheticClassifier(centroids, tau=1.0, corruption_rate=0.5,
+                                       seed=7).predict_split(store, "test")
+        cfg = SamplerConfig(q=3, negative_mode=mode, seed=1)
+        raw = as_tuples(pairsampler._sample(store, out_test, index, cfg, "test"))
+        want, excess = reference_eval(store, raw, cfg.seed)
+        assert as_tuples(sample_eval(store, out_test, index, cfg)) == want
+        assert excess > 0 if twins == 24 else excess < 0
+
+
+    def test_same_pooled_vector_but_other_grid_is_kept(self):
+        # swapping two tokens keeps the pooled vector bit for bit but not the
+        # grid, so the pair passes the pooled comparison and is kept
+        store, centroids = toy_store(classes=4, per_class=6, seed=4)
+        qid = store.ids("test")[0]
+        twin = store.by_class("train", store.class_of("test", qid))[0]
+        grids = {s: store.grids(s).copy() for s in ("train", "test")}
+        grids["test"][store.rows("test", [qid])[0]] = store.grid("train", twin)[[1, 0, 2]]
+        store = build_store("toy", store.manifest.class_names, store.manifest.records, grids)
+        np.testing.assert_array_equal(store.pooled_all("test")[store.rows("test", [qid])],
+                                      store.pooled_all("train")[store.rows("train", [twin])])
+        index = ClassIndex.build(store)
+        out_test = SyntheticClassifier(centroids, tau=1.0, seed=7).predict_split(store, "test")
+        cfg = SamplerConfig(q=3, seed=2)
+        raw = as_tuples(pairsampler._sample(store, out_test, index, cfg, "test"))
+        want, _ = reference_eval(store, raw, cfg.seed)
+        assert len(want) == 2 * min(sum(t[2] for t in raw), sum(1 - t[2] for t in raw))
+        assert as_tuples(sample_eval(store, out_test, index, cfg)) == want
+
+
 def test_jsonl_roundtrip(pipeline, tmp_path):
     store, index, out_train, _ = pipeline
     cfg = SamplerConfig(q=3, nn_rank=2, negative_mode="random_class", seed=5)

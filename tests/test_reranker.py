@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pcnn import reranker
 from pcnn.classifier import SyntheticClassifier, top_q
 from pcnn.comparator import ComparatorConfig, ComparatorModel
 from pcnn.embedstore import build_store
@@ -244,6 +245,66 @@ class TestEvaluate:
                     assert cobj["final"] == pytest.approx(e.final)
 
 
+class TestBatchedParity:
+    @pytest.mark.parametrize("n_neighbors, floor", [(1, 0.0), (3, 0.0), (3, 0.15)])
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_split_matches_per_entry_reference(self, world, n_neighbors, floor, mode):
+        """Candidates, s scores (bitwise, against np.mean of each entry's
+        own scores) and predictions against a per-query, per-class loop."""
+        store, index, out = world
+        rng = np.random.default_rng(9)
+        table = {(q, n): float(rng.random()) for q in store.ids("test")
+                 for n in store.ids("train")}
+        cfg = RerankConfig(k=4, n_neighbors=n_neighbors, prob_floor=floor)
+        results = rerank_split(store, out, index, FixedScorer(table), cfg, mode=mode)
+        skipped = 0
+        for qid, r in zip(store.ids("test"), results):
+            assert r.query_id == qid
+            pooled = store.pooled_all("test")[store.rows("test", [qid])[0]]
+            pred = top_q(out.row(qid), 4)
+            want = []
+            for cid, p in zip(pred.classes.tolist(), pred.probs.tolist()):
+                if floor > 0 and p < floor:
+                    want.append((cid, p, [], None, -np.inf))
+                    continue
+                nids = [n for n, _ in index.nearest_k_in_class(pooled, cid, n_neighbors)]
+                s = float(np.mean(np.array([table[(qid, n)] for n in nids])))
+                want.append((cid, p, nids, s, p * s if mode == "soft" else s))
+            got = [(e.class_id, e.prob, e.neighbor_ids, e.s_score, e.final)
+                   for e in r.entries]
+            assert got == want
+            best = max(want, key=lambda w: (w[4], w[1], -w[0]))
+            assert r.predicted == best[0]
+            assert r.comparator_queries == sum(len(w[2]) for w in want)
+            skipped += sum(w[3] is None for w in want)
+        assert (skipped > 0) == (floor > 0)
+
+    def test_evaluate_matches_per_query_accuracies(self, world):
+        store, index, out = world
+        report = evaluate_rerank(store, out, index, CosineScorer(),
+                                 RerankConfig(k=3, n_neighbors=2, prob_floor=0.1))
+        labels = {rid: store.class_of("test", rid) for rid in store.ids("test")}
+        assert report.accuracy_c == np.mean(
+            [int(np.argmax(out.row(rid)) == labels[rid]) for rid in store.ids("test")])
+        for acc, results in ((report.accuracy_soft, report.results_soft),
+                             (report.accuracy_hard, report.results_hard)):
+            assert acc == np.mean([int(r.predicted == labels[r.query_id]) for r in results])
+
+    def test_topq_ceiling_matches_per_row_reference(self):
+        store, centroids = toy_store(classes=6, per_class=10, seed=8, noise=3.0)
+        out = SyntheticClassifier(centroids, tau=2.0, corruption_rate=0.5,
+                                  corruption_q=4, seed=1).predict_split(store, "test")
+        # rounding the probabilities plants ties, broken by ascending id
+        out.probs = np.round(out.probs, 1)
+        ranks = []
+        for rid, label in zip(store.ids("test"), store.labels("test")):
+            row = out.row(rid)
+            ranks.append(sorted(range(6), key=lambda c: (-row[c], c)).index(label))
+        table = topq_ceiling(store, out, range(1, 7))
+        assert table == {q: float(np.mean(np.array(ranks) < q)) for q in range(1, 7)}
+        assert len(set(table.values())) > 2
+
+
 class TestScorers:
     def test_cosine_identical_is_one(self):
         g = np.random.default_rng(0).normal(size=(3, 2, 4))
@@ -332,6 +393,24 @@ class TestBaselinesAndDiagnostics:
         assert rep.self_pair_rate == 0.0
         assert rep.random_grid_rate == 0.0
         assert rep.shuffled_grid_rate == 0.0
+
+    @pytest.mark.parametrize("n", [36, 65, 129])
+    def test_sanity_shuffled_pairs_are_never_self_pairs(self, monkeypatch, n):
+        # 65 and 129 records leave a one-record tail after the batches of 64
+        rng = np.random.default_rng(n)
+        store = grid_store(rng.normal(size=(n, 3, 5)), rng.normal(size=(2, 3, 5)))
+        calls = []
+
+        def score_rows(model, grids1, rows1, grids2, rows2, *args):
+            calls.append((np.asarray(rows1), np.asarray(rows2)))
+            return np.zeros(len(rows1))
+
+        monkeypatch.setattr(reranker, "score_rows", score_rows)
+        sanity_suite(None, store, seed=3)
+        rows, partner = calls[2]
+        np.testing.assert_array_equal(rows, np.arange(n))
+        assert np.all(partner != rows)
+        np.testing.assert_array_equal(np.sort(partner), np.arange(n))
 
     def test_topq_ceiling_known_values(self):
         store, centroids = toy_store(classes=4, per_class=4, seed=8)
