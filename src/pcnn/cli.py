@@ -122,6 +122,8 @@ def cmd_explain(args):
                 for nid in entry["neighbors"]:
                     if nid not in valid_train:
                         raise KeyError(f"dangling neighbor id {nid}")
+                if not 0 <= entry["class"] < store.manifest.num_classes:
+                    raise KeyError(f"unknown class id {entry['class']}")
                 entry["class_name"] = store.manifest.class_names[entry["class"]]
             docs.append(doc)
     with atomic_open(args.out) as fh:

@@ -392,6 +392,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2 (batch norm)")
+        if not 0 <= self.warmup_fraction < 1:
+            raise ValueError("warmup fraction must be in [0, 1)")
 
 
 @dataclass

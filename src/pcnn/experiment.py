@@ -63,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seed list must be non-empty")
+        if not 0 < self.subsample_fraction <= 1:
+            raise ValueError("subsample fraction must be in (0, 1]")
 
     @staticmethod
     def from_json(text):

@@ -3,11 +3,14 @@
 For each query: take the classifier's top-K classes, retrieve the nearest
 in-class training records, score each pair with the comparator, and re-rank
 either by probability x score (soft, product of experts) or by score alone
-(hard). Also: kNN baselines, sanity checks, and the top-Q ceiling table.
+(hard). A split is re-ranked as a whole: one `RerankTable` holds every
+query's candidates, neighbors and s scores as arrays, and its final scores
+and predictions are derived from them. Also: kNN baselines, sanity checks,
+and the top-Q ceiling table.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,38 +34,48 @@ class RerankConfig:
             raise ValueError("probability floor must be in [0, 1)")
 
 
-@dataclass
-class ClassEntry:
-    class_id: int
-    prob: float
-    neighbor_ids: list
-    s_score: float  # None when skipped
-    final: float  # -inf when skipped
+@dataclass(frozen=True)
+class RerankTable:
+    """Re-ranking of one split, in store order: row i is query query_ids[i],
+    column j its j-th top-K class by descending prob, ties by ascending id.
 
+    A class under the probability floor is not `wanted`: its neighbors and
+    s score stay 0 and its final score is -inf. Every array is read-only, so
+    a soft and a hard table can share them.
+    """
 
-@dataclass
-class RankedResult:
-    query_id: int
-    entries: list  # ClassEntry per top-K class, classifier order
-    predicted: int
-    comparator_queries: int
+    query_ids: np.ndarray  # (n,)
+    classes: np.ndarray  # (n, K)
+    probs: np.ndarray  # (n, K)
+    wanted: np.ndarray  # (n, K) bool, prob at or above the floor
+    neighbors: np.ndarray  # (n, K, n_neighbors) train record ids
+    s_scores: np.ndarray  # (n, K) mean comparator score over the neighbors
+    mode: str  # "soft": final = prob x s; "hard": final = s
 
-    def to_json_obj(self):
-        return {
-            "query": int(self.query_id),
-            "predicted": int(self.predicted),
-            "comparator_queries": self.comparator_queries,
-            "classes": [
-                {
-                    "class": int(e.class_id),
-                    "prob": e.prob,
-                    "neighbors": [int(n) for n in e.neighbor_ids],
-                    "s_score": e.s_score,
-                    "final": None if e.s_score is None else e.final,
-                }
-                for e in self.entries
-            ],
-        }
+    def __post_init__(self):
+        if self.mode not in ("soft", "hard"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("query_ids", "classes", "probs", "wanted", "neighbors", "s_scores"):
+            getattr(self, name).flags.writeable = False
+
+    def __len__(self):
+        return len(self.query_ids)
+
+    @property
+    def final(self):
+        score = self.probs * self.s_scores if self.mode == "soft" else self.s_scores
+        return np.where(self.wanted, score, -np.inf)
+
+    @property
+    def predicted(self):
+        """Class of the highest final score per query. The columns are in
+        (descending prob, ascending id) order, so the first maximum breaks
+        ties by prob, then by lower class id."""
+        return self.classes[np.arange(len(self)), np.argmax(self.final, axis=1)]
+
+    @property
+    def comparator_queries(self):
+        return self.wanted.sum(axis=1) * self.neighbors.shape[2]
 
 
 # ------------------------------------------------------------- scorers
@@ -107,14 +120,16 @@ class CosineScorer:
 # ------------------------------------------------------------- re-rank
 
 
-def _candidates(store, index, query_split, qids, output, cfg):
-    """Top-K classes of every query with their probabilities, the mask of
-    classes at or above the probability floor, and each such class's
-    retrieved neighbors as an (n, K, n_neighbors) id array, fetched class by
-    class for all the queries that want the class at once."""
+def _candidates(store, index, query_split, output, cfg):
+    """Ids of the split's queries in store order, the top-K classes of every
+    query with their probabilities, the mask of classes at or above the
+    probability floor, and each such class's retrieved neighbors as an
+    (n, K, n_neighbors) id array, fetched class by class for all the queries
+    that want the class at once."""
+    qids = store.ids(query_split)
     pred = top_q(output.probs_of(qids), min(cfg.k, output.probs.shape[1]))
     wanted = ~((cfg.prob_floor > 0) & (pred.probs < cfg.prob_floor))
-    queries = store.pooled_all(query_split)[store.rows(query_split, qids)]
+    queries = store.pooled_all(query_split)
     ids = np.array(qids, dtype=np.int64)
     neighbors = np.zeros((*wanted.shape, cfg.n_neighbors), dtype=np.int64)
     for cid in np.unique(pred.classes[wanted]).tolist():
@@ -122,57 +137,24 @@ def _candidates(store, index, query_split, qids, output, cfg):
         exclude = ids[at] if query_split == "train" else None
         neighbors[at, rank] = index.nearest_k_many(queries[at], cid, cfg.n_neighbors,
                                                    exclude)
-    return pred.classes, pred.probs, wanted, neighbors
+    return ids, pred.classes, pred.probs, wanted, neighbors
 
 
-def _finalize(qid, entries, mode):
-    """Final score of every scored entry and the re-ranked prediction."""
-    for e in entries:
-        if e.s_score is not None:
-            e.final = e.prob * e.s_score if mode == "soft" else e.s_score
-    # argmax with tie-break: final, then original C probability, then low id
-    best = max(entries, key=lambda e: (e.final, e.prob, -e.class_id))
-    count = sum(len(e.neighbor_ids) for e in entries)
-    return RankedResult(qid, entries, best.class_id, count)
-
-
-def _rerank_queries(store, output, index, scorer, cfg, qids, query_split, mode):
-    """Re-rank the given queries; all their pairs go to one scorer call."""
-    if mode not in ("soft", "hard"):
-        raise ValueError(f"unknown mode {mode!r}")
-    classes, probs, wanted, neighbors = _candidates(
-        store, index, query_split, qids, output, cfg
-    )
+def rerank_split(store, output, index, scorer, cfg, query_split="test", mode="soft"):
+    """Re-rank every query of a split by prob x score ("soft") or by score
+    alone ("hard"); all the split's pairs go to one scorer call."""
+    ids, classes, probs, wanted, neighbors = _candidates(store, index, query_split,
+                                                         output, cfg)
     # pairs in (query, class, neighbor) order; an entry's s score is the
     # mean over its n_neighbors consecutive pairs
     at, rank = wanted.nonzero()
     s_scores = np.zeros(wanted.shape)
     if len(at):
-        rows1 = store.rows(query_split, qids)[np.repeat(at, cfg.n_neighbors)]
         rows2 = store.rows("train", neighbors[at, rank].ravel().tolist())
-        scores = scorer.score(rows1, rows2, store=store, query_split=query_split)
+        scores = scorer.score(np.repeat(at, cfg.n_neighbors), rows2, store=store,
+                              query_split=query_split)
         s_scores[at, rank] = scores.reshape(-1, cfg.n_neighbors).mean(axis=1)
-    # a class under the probability floor keeps no neighbors and no s score
-    columns = (classes, probs, wanted, neighbors, s_scores)
-    results = []
-    for qid, *row in zip(qids, *(col.tolist() for col in columns)):
-        entries = [ClassEntry(c, p, n if w else [], s if w else None, -np.inf)
-                   for c, p, w, n, s in zip(*row)]
-        results.append(_finalize(qid, entries, mode))
-    return results
-
-
-def rerank_split(store, output, index, scorer, cfg, query_split="test", mode="soft"):
-    """Re-rank every query of a split by prob x score ("soft") or by score
-    alone ("hard"); one batched comparator pass."""
-    return _rerank_queries(
-        store, output, index, scorer, cfg, store.ids(query_split), query_split, mode
-    )
-
-
-def rerank(store, output, index, scorer, cfg, qid, query_split="test", mode="soft"):
-    """Single-query re-ranking (same semantics as rerank_split)."""
-    return _rerank_queries(store, output, index, scorer, cfg, [qid], query_split, mode)[0]
+    return RerankTable(ids, classes, probs, wanted, neighbors, s_scores, mode)
 
 
 @dataclass
@@ -181,8 +163,8 @@ class RerankReport:
     accuracy_soft: float  # C x S
     accuracy_hard: float  # C -> S
     mean_comparator_queries: float
-    results_soft: list = field(default_factory=list)
-    results_hard: list = field(default_factory=list)
+    results_soft: RerankTable
+    results_hard: RerankTable
 
 
 def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
@@ -190,30 +172,34 @@ def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
     ids, labels = store.ids(query_split), store.labels(query_split)
     soft = rerank_split(store, output, index, scorer, cfg, query_split)
     # hard mode re-ranks the same candidates by the same s scores
-    hard = [
-        _finalize(r.query_id, [ClassEntry(e.class_id, e.prob, e.neighbor_ids, e.s_score,
-                                          -np.inf) for e in r.entries], "hard")
-        for r in soft
-    ]
-    n = len(soft)
+    hard = replace(soft, mode="hard")
     acc_c = np.mean(np.argmax(output.probs_of(ids), axis=1) == labels)
-    acc_soft = np.mean(np.array([r.predicted for r in soft], dtype=np.int64) == labels)
-    acc_hard = np.mean(np.array([r.predicted for r in hard], dtype=np.int64) == labels)
-    mean_q = float(np.mean([r.comparator_queries for r in soft])) if n else 0.0
+    mean_q = float(np.mean(soft.comparator_queries)) if len(soft) else 0.0
     return RerankReport(
         accuracy_c=float(acc_c),
-        accuracy_soft=float(acc_soft),
-        accuracy_hard=float(acc_hard),
+        accuracy_soft=float(np.mean(soft.predicted == labels)),
+        accuracy_hard=float(np.mean(hard.predicted == labels)),
         mean_comparator_queries=mean_q,
         results_soft=soft,
         results_hard=hard,
     )
 
 
-def save_results(results, path):
+def save_results(table, path):
+    """One JSON line per query: its prediction, comparator query count and
+    top-K classes; a class under the probability floor has no neighbors
+    and a null s score and final score."""
+    columns = (table.classes, table.probs, table.wanted, table.neighbors,
+               table.s_scores, table.final)
+    rows = zip(table.query_ids.tolist(), table.predicted.tolist(),
+               table.comparator_queries.tolist(), *(col.tolist() for col in columns))
     with atomic_open(path) as fh:
-        for r in results:
-            fh.write(json.dumps(r.to_json_obj()) + "\n")
+        for qid, predicted, count, *row in rows:
+            classes = [{"class": c, "prob": p, "neighbors": n if w else [],
+                        "s_score": s if w else None, "final": f if w else None}
+                       for c, p, w, n, s, f in zip(*row)]
+            fh.write(json.dumps({"query": qid, "predicted": predicted,
+                                 "comparator_queries": count, "classes": classes}) + "\n")
 
 
 # ------------------------------------------------------------ baselines
@@ -248,14 +234,19 @@ class SanityReport:
     shuffled_grid_rate: float
 
 
-def sanity_suite(model, store, query_split="test", seed=0, batch=64):
-    """Fraction of pairs scored > 0.5 for self, random-valued, shuffled pairs."""
-    ids = store.ids(query_split)
-    grids = store.grids(query_split)
+# records per shuffled batch in `sanity_suite`
+_SHUFFLE_BATCH = 64
+
+
+def sanity_suite(model, store, seed=0):
+    """Fraction of test pairs scored > 0.5 for self, random-valued and
+    shuffled pairs."""
+    grids = store.grids("test")
+    n = len(grids)
     rng = np.random.default_rng(seed)
     lo, hi = float(grids.min()), float(grids.max())
 
-    rows = np.arange(len(ids))
+    rows = np.arange(n)
 
     def rate(grids2, rows2):
         scores = score_rows(model, grids, rows, grids2, rows2)
@@ -266,12 +257,12 @@ def sanity_suite(model, store, query_split="test", seed=0, batch=64):
     random_rate = rate(random_grids, rows)
     # emulate a shuffled dataloader: random order, partner = next in batch;
     # a one-record tail joins the batch before it, or it would pair with itself
-    order = rng.permutation(len(ids))
-    partner = np.empty(len(ids), dtype=np.int64)
-    starts = list(range(0, len(ids), batch))
-    if len(starts) > 1 and len(ids) - starts[-1] == 1:
+    order = rng.permutation(n)
+    partner = np.empty(n, dtype=np.int64)
+    starts = list(range(0, n, _SHUFFLE_BATCH))
+    if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [len(ids)]):
+    for lo, hi in zip(starts, starts[1:] + [n]):
         block = order[lo:hi]
         partner[block] = np.roll(block, -1)
     shuffled_rate = rate(grids, partner)

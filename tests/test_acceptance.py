@@ -376,7 +376,8 @@ def test_c03_oracle_ceiling_equivalence():
         results = rerank_split(store, out, index, OracleScorer(),
                                RerankConfig(k=k))
         acc = float(np.mean(
-            [r.predicted == store.class_of("test", r.query_id) for r in results]
+            [p == store.class_of("test", q)
+             for q, p in zip(results.query_ids.tolist(), results.predicted.tolist())]
         ))
         assert acc == topq_ceiling(store, out, [k])[k]
     assert time.monotonic() - t0 < 30.0
@@ -393,7 +394,8 @@ def test_c04_k1_invariance():
     index = ClassIndex.build(store)
     results = rerank_split(store, out, index, CosineScorer(),
                            RerankConfig(k=1))
-    agree = [r.predicted == int(np.argmax(out.row(r.query_id))) for r in results]
+    agree = [p == int(np.argmax(out.row(q)))
+             for q, p in zip(results.query_ids.tolist(), results.predicted.tolist())]
     assert all(agree)
 
 

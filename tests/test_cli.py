@@ -8,7 +8,7 @@ from pcnn.cli import main
 from pcnn.experiment import ExperimentConfig, run_seed
 from pcnn.nnindex import ClassIndex
 
-from conftest import record_calls
+from conftest import record_calls, toy_store
 
 TINY = {
     "classes": 4,
@@ -219,6 +219,24 @@ def test_rerank_mode_in_config_fails(capsys, tmp_path):
         assert doc["error"] == "StageError"
         assert "'evaluation'" in doc["message"] and "mode" in doc["message"]
     assert not (tmp_path / "out" / "seed_1" / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("class_id", [-1, 4])
+def test_explain_rejects_unknown_class_id(capsys, tmp_path, class_id):
+    store, _ = toy_store(classes=4)
+    manifest, payload = tmp_path / "m.json", tmp_path / "p.bin"
+    store.save(str(manifest), str(payload))
+    entry = {"class": class_id, "prob": 0.5, "neighbors": [], "s_score": None, "final": None}
+    results = tmp_path / "r.jsonl"
+    results.write_text(json.dumps({"query": store.ids("test")[0], "predicted": 0,
+                                   "comparator_queries": 0, "classes": [entry]}) + "\n")
+    code, _, err = run_cli(capsys, "explain", "--results", str(results),
+                           "--manifest", str(manifest), "--payload", str(payload),
+                           "--out", str(tmp_path / "explain.json"))
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["error"] == "KeyError" and f"class id {class_id}" in doc["message"]
+    assert not (tmp_path / "explain.json").exists()
 
 
 def test_rerank_without_checkpoint_fails(cfg_path, capsys, tmp_path):

@@ -173,6 +173,8 @@ class TestPipeline:
         ("rerank", {"k": 0}, "evaluation"),
         ("rerank", {"prob_floor": 1.0}, "evaluation"),
         ("rerank", {"k": 3, "mode": "hard"}, "evaluation"),
+        ("train", {"warmup_fraction": 1.0}, "training"),
+        ("train", {"warmup_fraction": -0.1}, "training"),
     ])
     def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
                                                        section, bad, stage):
@@ -192,6 +194,12 @@ class TestPipeline:
         pipe = prepare(cfg, 1)
         for c in pipe.index.classes:
             assert pipe.index.class_size(c) == 3  # ceil(0.5 * 6)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_subsample_fraction_out_of_range_rejected(self, fraction):
+        text = json.dumps({"synthetic": dict(TINY), "subsample_fraction": fraction})
+        with pytest.raises(ValueError, match="subsample fraction"):
+            ExperimentConfig.from_json(text)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcnn import reranker
-from pcnn.classifier import SyntheticClassifier, top_q
+from pcnn.classifier import ClassifierOutput, SyntheticClassifier, top_q
 from pcnn.comparator import ComparatorConfig, ComparatorModel
 from pcnn.embedstore import build_store
 from pcnn.nnindex import ClassIndex
@@ -15,7 +15,6 @@ from pcnn.reranker import (
     RerankConfig,
     evaluate_rerank,
     knn_classify,
-    rerank,
     rerank_split,
     sanity_suite,
     save_results,
@@ -61,6 +60,45 @@ def world():
     return store, index, out
 
 
+def rows(table):
+    """(query id, predicted class) of every row of a re-rank table."""
+    return zip(table.query_ids.tolist(), table.predicted.tolist())
+
+
+def reference_jsonl(table):
+    """save_results' bytes from the per-query path the table replaced: each
+    query's entries as Python values, its prediction by max over
+    (final, prob, -class id), and the old per-query dict layout."""
+    lines = []
+    for i, qid in enumerate(table.query_ids.tolist()):
+        entries = []
+        for c, p, w, n, s in zip(table.classes[i].tolist(), table.probs[i].tolist(),
+                                 table.wanted[i].tolist(), table.neighbors[i].tolist(),
+                                 table.s_scores[i].tolist()):
+            if w:
+                entries.append((c, p, n, s, p * s if table.mode == "soft" else s))
+            else:
+                entries.append((c, p, [], None, -np.inf))
+        best = max(entries, key=lambda e: (e[4], e[1], -e[0]))
+        obj = {
+            "query": int(qid),
+            "predicted": int(best[0]),
+            "comparator_queries": sum(len(e[2]) for e in entries),
+            "classes": [
+                {
+                    "class": int(c),
+                    "prob": p,
+                    "neighbors": [int(x) for x in n],
+                    "s_score": s,
+                    "final": None if s is None else f,
+                }
+                for c, p, n, s, f in entries
+            ],
+        }
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines).encode()
+
+
 class TestRerank:
     def test_oracle_recovers_topk(self, world):
         # a perfect comparator must fix every query whose gt is in the top-K
@@ -68,9 +106,7 @@ class TestRerank:
         cfg = RerankConfig(k=3)
         results = rerank_split(store, out, index, OracleScorer(), cfg, mode="hard")
         ceiling = topq_ceiling(store, out, [3])[3]
-        acc = np.mean(
-            [r.predicted == store.class_of("test", r.query_id) for r in results]
-        )
+        acc = np.mean([p == store.class_of("test", q) for q, p in rows(results)])
         assert acc == pytest.approx(ceiling)
 
     def test_oracle_on_train_split_reaches_ceiling(self, world):
@@ -84,46 +120,38 @@ class TestRerank:
         cfg = RerankConfig(k=3)
         results = rerank_split(store, out, index, OracleScorer(), cfg, query_split="train",
                                mode="hard")
-        acc = np.mean([r.predicted == store.class_of("train", r.query_id) for r in results])
+        acc = np.mean([p == store.class_of("train", q) for q, p in rows(results)])
         assert acc == topq_ceiling(store, out, [3], query_split="train")[3]
-        for r in results:
-            assert all(r.query_id not in e.neighbor_ids for e in r.entries)
+        assert results.wanted.all()
+        assert not np.any(results.neighbors == results.query_ids[:, None, None])
 
     def test_soft_reduces_to_c_with_unit_scores(self, world):
         # constant score 1 makes prob x score the classifier ranking itself
         store, index, out = world
         cfg = RerankConfig(k=4)
         results = rerank_split(store, out, index, FixedScorer({}, default=1.0), cfg)
-        for r in results:
-            assert r.predicted == int(np.argmax(out.row(r.query_id)))
+        for q, p in rows(results):
+            assert p == int(np.argmax(out.row(q)))
 
     def test_hard_ignores_probability(self, world):
         store, index, out = world
         qid = store.ids("test")[0]
         cfg = RerankConfig(k=3)
-        entries = rerank(store, out, index, FixedScorer({}, default=1.0), cfg, qid,
-                         mode="hard")
+        table = rerank_split(store, out, index, FixedScorer({}, default=1.0), cfg,
+                             mode="hard")
         # all scores equal: tie-break falls back to C probability
-        assert entries.predicted == int(np.argmax(out.row(qid)))
+        assert table.query_ids[0] == qid
+        assert table.predicted[0] == int(np.argmax(out.row(qid)))
         # now give the lowest-prob candidate a strictly higher score
         pred = top_q(out.row(qid), 3)
         low = int(pred.classes[-1])
-        table = {}
+        scores = {}
         pooled = store.pooled("test", qid)
         nid, _ = index.nearest_in_class(pooled, low, rank=1)
-        table[(qid, nid)] = 0.9
-        r = rerank(store, out, index, FixedScorer(table, default=0.4), cfg, qid, mode="hard")
-        assert r.predicted == low
-
-    def test_single_matches_split(self, world):
-        store, index, out = world
-        cfg = RerankConfig(k=3)
-        scorer = CosineScorer()
-        split = rerank_split(store, out, index, scorer, cfg)
-        for r in split[:5]:
-            single = rerank(store, out, index, scorer, cfg, r.query_id)
-            assert single.predicted == r.predicted
-            assert [e.final for e in single.entries] == [e.final for e in r.entries]
+        scores[(qid, nid)] = 0.9
+        table = rerank_split(store, out, index, FixedScorer(scores, default=0.4), cfg,
+                             mode="hard")
+        assert table.predicted[0] == low
 
     def test_n_neighbors_averaging(self, world):
         store, index, out = world
@@ -142,19 +170,19 @@ class TestRerank:
                 table[(qid, nid)] = v
                 vals.append(v)
             want[int(cid)] = np.mean(vals)
-        r = rerank(store, out, index, FixedScorer(table), cfg, qid, mode="hard")
-        for e in r.entries:
-            assert e.s_score == pytest.approx(want[e.class_id])
-        assert r.comparator_queries == 6
+        r = rerank_split(store, out, index, FixedScorer(table), cfg, mode="hard")
+        for cid, s in zip(r.classes[1].tolist(), r.s_scores[1].tolist()):
+            assert s == pytest.approx(want[cid])
+        assert r.comparator_queries[1] == 6
 
     def test_final_tie_breaks(self, world):
         store, index, out = world
         qid = store.ids("test")[2]
         cfg = RerankConfig(k=3)
         # identical scores everywhere: tie-break is C prob, then lower id
-        r = rerank(store, out, index, FixedScorer({}, default=0.7), cfg, qid, mode="hard")
+        r = rerank_split(store, out, index, FixedScorer({}, default=0.7), cfg, mode="hard")
         pred = top_q(out.row(qid), 3)
-        assert r.predicted == int(pred.classes[0])
+        assert r.predicted[2] == int(pred.classes[0])
 
     def test_prob_floor_skips_classes(self, world):
         store, index, out = world
@@ -163,19 +191,18 @@ class TestRerank:
         scorer = CosineScorer()
         floored = rerank_split(store, out, index, scorer, cfg)
         full = rerank_split(store, out, index, scorer, base)
-        total_f = sum(r.comparator_queries for r in floored)
-        total = sum(r.comparator_queries for r in full)
+        total_f = floored.comparator_queries.sum()
+        total = full.comparator_queries.sum()
         assert total_f < total
-        for r in floored:
-            for e in r.entries:
-                if e.prob < 0.2:
-                    assert e.s_score is None
-                    assert e.final == -np.inf
-                    assert e.neighbor_ids == []
-            # skipped entries can never win
-            assert r.entries[
-                [e.class_id for e in r.entries].index(r.predicted)
-            ].s_score is not None
+        skipped = floored.probs < 0.2
+        np.testing.assert_array_equal(floored.wanted, ~skipped)
+        assert np.all(floored.s_scores[skipped] == 0)
+        assert np.all(floored.final[skipped] == -np.inf)
+        assert np.all(floored.neighbors[skipped] == 0)
+        # skipped entries can never win
+        won = floored.classes == floored.predicted[:, None]
+        assert np.all(won.sum(axis=1) == 1)
+        assert floored.wanted[won].all()
 
     def test_config_validation(self):
         for bad in (
@@ -186,7 +213,7 @@ class TestRerank:
         ):
             with pytest.raises(ValueError):
                 RerankConfig(**bad)
-        # the mode is a keyword of rerank_split/rerank, not a config field
+        # the mode is a keyword of rerank_split, not a config field
         with pytest.raises(TypeError):
             RerankConfig(mode="hard")
 
@@ -210,7 +237,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("floor", [0.0, 0.15])
     def test_one_pass_matches_separate_modes(self, world, tmp_path, floor):
         # soft and hard come from one scoring pass; each must serialize byte
-        # for byte like its own rerank_split, with entries not shared
+        # for byte like its own rerank_split, and the arrays they share are
+        # read-only
         store, index, out = world
         model = ComparatorModel(ComparatorConfig(depth=5, tokens=3, heads=1), seed=0)
         model.mlp_w[3].data = np.random.default_rng(4).normal(size=model.mlp_w[3].data.shape)
@@ -222,8 +250,9 @@ class TestEvaluate:
             save_results(results, tmp_path / "one.jsonl")
             save_results(alone, tmp_path / "alone.jsonl")
             assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
-        for r_soft, r_hard in zip(report.results_soft, report.results_hard):
-            assert all(a is not b for a, b in zip(r_soft.entries, r_hard.entries))
+            for name in ("query_ids", "classes", "probs", "wanted", "neighbors", "s_scores"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(results, name)[0] = 0
 
     def test_save_results_jsonl(self, world, tmp_path):
         store, index, out = world
@@ -234,15 +263,46 @@ class TestEvaluate:
         save_results(results, path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert len(lines) == len(results)
-        for obj, r in zip(lines, results):
-            assert obj["query"] == r.query_id
-            assert obj["predicted"] == r.predicted
-            for cobj, e in zip(obj["classes"], r.entries):
-                assert cobj["class"] == e.class_id
-                if e.s_score is None:
+        for i, obj in enumerate(lines):
+            assert obj["query"] == results.query_ids[i]
+            assert obj["predicted"] == results.predicted[i]
+            for j, cobj in enumerate(obj["classes"]):
+                assert cobj["class"] == results.classes[i, j]
+                if not results.wanted[i, j]:
                     assert cobj["s_score"] is None and cobj["final"] is None
                 else:
-                    assert cobj["final"] == pytest.approx(e.final)
+                    assert cobj["final"] == pytest.approx(results.final[i, j])
+
+    @pytest.mark.parametrize("case", ["n1", "n3", "floor", "floor_all", "ties"])
+    def test_save_results_matches_per_query_reference(self, world, tmp_path, case):
+        store, index, out = world
+        rng = np.random.default_rng(11)
+        scorer = FixedScorer({(q, n): float(rng.random()) for q in store.ids("test")
+                              for n in store.ids("train")})
+        cfg = {"n1": dict(), "n3": dict(n_neighbors=3),
+               "floor": dict(n_neighbors=2, prob_floor=0.15),
+               "floor_all": dict(), "ties": dict(n_neighbors=2)}[case]
+        if case == "floor_all":
+            # a flat classifier, so that a floor can lie above every top-1 prob
+            _, centroids = toy_store(classes=5, per_class=8, seed=6)
+            out = SyntheticClassifier(centroids, tau=50.0).predict_split(store, "test")
+            cfg["prob_floor"] = (out.probs.max() + 1) / 2
+        if case == "ties":
+            # rounding plants probability ties; constant scores tie every final
+            probs = rng.dirichlet(np.ones(out.probs.shape[1]), size=len(out.ids))
+            out = ClassifierOutput("test", out.ids, np.round(probs, 1))
+            scorer = FixedScorer({}, default=0.5)
+        cfg = RerankConfig(k=4, **cfg)
+        report = evaluate_rerank(store, out, index, scorer, cfg)
+        for table in (report.results_soft, report.results_hard):
+            save_results(table, tmp_path / "r.jsonl")
+            assert (tmp_path / "r.jsonl").read_bytes() == reference_jsonl(table)
+        wanted = report.results_soft.wanted
+        assert wanted.all() == (case in ("n1", "n3", "ties"))
+        assert wanted.any() == (case != "floor_all")
+        if case == "ties":
+            top = report.results_soft.probs
+            assert np.any(top[:, 0] == top[:, 1])
 
 
 class TestBatchedParity:
@@ -257,9 +317,10 @@ class TestBatchedParity:
                  for n in store.ids("train")}
         cfg = RerankConfig(k=4, n_neighbors=n_neighbors, prob_floor=floor)
         results = rerank_split(store, out, index, FixedScorer(table), cfg, mode=mode)
+        final, predicted = results.final.tolist(), results.predicted.tolist()
         skipped = 0
-        for qid, r in zip(store.ids("test"), results):
-            assert r.query_id == qid
+        for i, qid in enumerate(store.ids("test")):
+            assert results.query_ids[i] == qid
             pooled = store.pooled_all("test")[store.rows("test", [qid])[0]]
             pred = top_q(out.row(qid), 4)
             want = []
@@ -270,12 +331,16 @@ class TestBatchedParity:
                 nids = [n for n, _ in index.nearest_k_in_class(pooled, cid, n_neighbors)]
                 s = float(np.mean(np.array([table[(qid, n)] for n in nids])))
                 want.append((cid, p, nids, s, p * s if mode == "soft" else s))
-            got = [(e.class_id, e.prob, e.neighbor_ids, e.s_score, e.final)
-                   for e in r.entries]
+            got = [(c, p, n if w else [], s if w else None, f)
+                   for c, p, w, n, s, f in zip(results.classes[i].tolist(),
+                                               results.probs[i].tolist(),
+                                               results.wanted[i].tolist(),
+                                               results.neighbors[i].tolist(),
+                                               results.s_scores[i].tolist(), final[i])]
             assert got == want
             best = max(want, key=lambda w: (w[4], w[1], -w[0]))
-            assert r.predicted == best[0]
-            assert r.comparator_queries == sum(len(w[2]) for w in want)
+            assert predicted[i] == best[0]
+            assert results.comparator_queries[i] == sum(len(w[2]) for w in want)
             skipped += sum(w[3] is None for w in want)
         assert (skipped > 0) == (floor > 0)
 
@@ -288,7 +353,7 @@ class TestBatchedParity:
             [int(np.argmax(out.row(rid)) == labels[rid]) for rid in store.ids("test")])
         for acc, results in ((report.accuracy_soft, report.results_soft),
                              (report.accuracy_hard, report.results_hard)):
-            assert acc == np.mean([int(r.predicted == labels[r.query_id]) for r in results])
+            assert acc == np.mean([int(p == labels[q]) for q, p in rows(results)])
 
     def test_topq_ceiling_matches_per_row_reference(self):
         store, centroids = toy_store(classes=6, per_class=10, seed=8, noise=3.0)
