@@ -32,7 +32,7 @@ class TopQPrediction:
 
 
 class ClassifierOutput:
-    """Probability table for one split, keyed by record id."""
+    """Probability table for one split: row i holds record ids[i]."""
 
     def __init__(self, split, ids, probs):
         probs = np.asarray(probs, dtype=np.float64)
@@ -42,14 +42,13 @@ class ClassifierOutput:
         self.split = split
         self.ids = ids
         self.probs = probs
-        self._row = {rid: i for i, rid in enumerate(ids)}
 
-    def row(self, record_id):
-        return self.probs[self._row[record_id]]
-
-    def probs_of(self, record_ids):
-        """Probability rows of the given record ids, as an (n, C) array."""
-        return self.probs[[self._row[rid] for rid in record_ids]]
+    def probs_for(self, store, split):
+        """`probs`, as rows of the store's split: the output must be of that
+        split and list its ids in store order."""
+        if self.split != split or not np.array_equal(self.ids, store.ids(split)):
+            raise ValidationError(f"{self.split} outputs are not {split} ids in store order")
+        return self.probs
 
     def validate(self):
         finite = np.isfinite(self.probs).all(axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .atomicio import atomic_open
-from .pairsampler import POSITIVE
+from .pairsampler import POSITIVE, pairset_rows
 
 class TrainingError(RuntimeError):
     pass
@@ -351,13 +351,6 @@ def score_rows(model, grids1, rows1, grids2, rows2, batch_size=256):
         sl = slice(start, start + batch_size)
         scores[sl] = nk.sigmoid(model.pair_logits(recs, at1[sl], at2[sl], "eval")).data
     return scores
-
-
-def pairset_rows(store, pairset):
-    """Store rows of each pair's query and neighbour grids."""
-    rows1 = store.rows(pairset.split, [p.query_id for p in pairset.pairs])
-    rows2 = store.rows("train", [p.neighbor_id for p in pairset.pairs])
-    return rows1, rows2
 
 
 def score_pairset(model, store, pairset, batch_size=256):

@@ -3,6 +3,9 @@
 Payload layout: records concatenated in manifest order (all train records,
 then all test records), each record a row-major T x D little-endian f32
 block. The manifest is JSON and carries a sha256 of the payload.
+
+Row i of a split is its i-th manifest record in every per-split array (grids,
+pooled vectors, labels, ids); `rows` is the one map from record ids to rows.
 """
 
 import hashlib
@@ -75,27 +78,20 @@ class EmbeddingStore:
         self._grids = grids  # split -> (N, T, D) float64
         # split -> (N, D) token means; scorers and retrieval index them per call
         self._pooled = {s: g.mean(axis=1) for s, g in grids.items()}
-        # split -> (N,) class ids in manifest order
-        self._labels = {
-            s: np.array([cid for _, cid in manifest.records[s]], dtype=np.int64)
-            for s in SPLITS
-        }
-        for derived in (*self._pooled.values(), *self._labels.values()):
+        # split -> (N,) record ids and (N,) class ids, in manifest order
+        records = {s: np.array(manifest.records[s], dtype=np.int64).reshape(-1, 2)
+                   for s in SPLITS}
+        self._ids = {s: np.ascontiguousarray(r[:, 0]) for s, r in records.items()}
+        self._labels = {s: np.ascontiguousarray(r[:, 1]) for s, r in records.items()}
+        for derived in (*self._pooled.values(), *self._ids.values(), *self._labels.values()):
             derived.flags.writeable = False
-        self._by_id = {}
-        self._class_lists = {}
-        for split in SPLITS:
-            idx = {}
-            per_class = {}
-            for i, (rid, cid) in enumerate(manifest.records[split]):
-                if rid in idx:
-                    raise IngestionError(f"duplicate record id {rid} in split {split}")
-                idx[rid] = i
-                per_class.setdefault(cid, []).append(rid)
-            for cid in per_class:
-                per_class[cid].sort()
-            self._by_id[split] = idx
-            self._class_lists[split] = per_class
+        # split -> rows in ascending id order, for `rows` to binary-search
+        self._id_order = {s: np.argsort(ids, kind="stable") for s, ids in self._ids.items()}
+        for split, order in self._id_order.items():
+            ascending = self._ids[split][order]
+            dup = ascending[1:][ascending[1:] == ascending[:-1]]
+            if len(dup):
+                raise IngestionError(f"duplicate record id {dup[0]} in split {split}")
 
     # ---- queries -------------------------------------------------------
 
@@ -103,22 +99,26 @@ class EmbeddingStore:
         return len(self.manifest.records[split])
 
     def ids(self, split):
-        return [rid for rid, _ in self.manifest.records[split]]
+        return self._ids[split]
 
     def class_of(self, split, record_id):
-        return self.manifest.records[split][self._by_id[split][record_id]][1]
+        return int(self._labels[split][self.rows(split, [record_id])[0]])
 
     def grid(self, split, record_id):
-        return self._grids[split][self._by_id[split][record_id]]
+        return self._grids[split][self.rows(split, [record_id])[0]]
 
     def grids(self, split):
         return self._grids[split]
 
     def rows(self, split, record_ids):
-        """Row of each record id in `grids(split)`, as an index array."""
-        idx = self._by_id[split]
-        return np.fromiter((idx[rid] for rid in record_ids), dtype=np.intp,
-                           count=len(record_ids))
+        """Row of each record id in `grids(split)`, as an index array; a
+        KeyError names the first id the split does not hold."""
+        ids, order = self._ids[split], self._id_order[split]
+        want = np.asarray(record_ids, dtype=np.int64)
+        missing = ~np.isin(want, ids)
+        if missing.any():
+            raise KeyError(f"unknown record id {want[missing][0]} in split {split}")
+        return order[np.searchsorted(ids, want, sorter=order)]
 
     def pooled(self, split, record_id):
         return self.grid(split, record_id).mean(axis=0)
@@ -130,10 +130,10 @@ class EmbeddingStore:
         """Record ids of a class in ascending order."""
         if class_id < 0 or class_id >= self.manifest.num_classes:
             raise KeyError(f"unknown class id {class_id}")
-        recs = self._class_lists[split].get(class_id, [])
+        recs = np.sort(self._ids[split][self._labels[split] == class_id]).tolist()
         if not recs and split == "train":
             raise EmptyClassError(f"class {class_id} has no records in train split")
-        return list(recs)
+        return recs
 
     def labels(self, split):
         return self._labels[split]

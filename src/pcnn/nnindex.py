@@ -30,7 +30,7 @@ class ClassIndex:
     @staticmethod
     def build(store, split="train"):
         labels = store.labels(split)
-        ids = np.array(store.ids(split), dtype=np.int64)
+        ids = store.ids(split)
         order = np.lexsort((ids, labels))
         counts = np.bincount(labels, minlength=store.manifest.num_classes)
         bounds = np.concatenate([[0], np.cumsum(counts)])

@@ -65,6 +65,13 @@ class PairSet:
         return [p for p in self.pairs if p.label == NEGATIVE]
 
 
+def pairset_rows(store, pairset):
+    """Store rows of each pair's query and neighbour grids."""
+    rows1 = store.rows(pairset.split, [p.query_id for p in pairset.pairs])
+    rows2 = store.rows("train", [p.neighbor_id for p in pairset.pairs])
+    return rows1, rows2
+
+
 def _negatives(config, classes, gts, in_topq, qids, num_classes):
     """(query position, class) of every negative, query by query: the top-Q
     classes other than the ground truth in hard mode; in random mode, other
@@ -83,18 +90,17 @@ def _negatives(config, classes, gts, in_topq, qids, num_classes):
 
 
 def _sample(store, output, index, config, split):
-    qids = store.ids(split)
-    ids = np.array(qids, dtype=np.int64)
+    ids = store.ids(split)
     queries = store.pooled_all(split)
     gts = store.labels(split)
-    classes = top_q(output.probs_of(qids), config.q).classes
+    classes = top_q(output.probs_for(store, split), config.q).classes
     in_topq = (classes == gts[:, None]).any(axis=1)
     neg_query, neg_class = _negatives(
-        config, classes, gts, in_topq, qids, store.manifest.num_classes
+        config, classes, gts, in_topq, ids.tolist(), store.manifest.num_classes
     )
 
     # retrieve class by class, for every query that needs the class at once
-    positives = np.empty((len(qids), config.q), dtype=np.int64)
+    positives = np.empty((len(ids), config.q), dtype=np.int64)
     for cid in np.unique(gts).tolist():
         at = (gts == cid).nonzero()[0]
         exclude = ids[at] if split == "train" else None
@@ -128,7 +134,7 @@ def _sample(store, output, index, config, split):
                         np.full(len(negatives), config.nn_rank)]),
     )
     pairs = list(map(PairSample, *(c[order].tolist() for c in columns)))
-    return PairSet(split, config, pairs, dict(zip(qids, in_topq.tolist())))
+    return PairSet(split, config, pairs, dict(zip(ids.tolist(), in_topq.tolist())))
 
 
 def sample_train(store, output, index, config):
@@ -138,8 +144,7 @@ def sample_train(store, output, index, config):
 def sample_eval(store, output, index, config):
     """Test-split sampling with identical-grid dedup and exact 50/50 balance."""
     pairset = _sample(store, output, index, config, "test")
-    rows1 = store.rows("test", [p.query_id for p in pairset.pairs])
-    rows2 = store.rows("train", [p.neighbor_id for p in pairset.pairs])
+    rows1, rows2 = pairset_rows(store, pairset)
     # identical grids have identical pooled vectors: compare the grids of
     # the pooled matches only
     pooled1, pooled2 = store.pooled_all("test")[rows1], store.pooled_all("train")[rows2]

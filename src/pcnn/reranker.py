@@ -126,11 +126,11 @@ def _candidates(store, index, query_split, output, cfg):
     probability floor, and each such class's retrieved neighbors as an
     (n, K, n_neighbors) id array, fetched class by class for all the queries
     that want the class at once."""
-    qids = store.ids(query_split)
-    pred = top_q(output.probs_of(qids), min(cfg.k, output.probs.shape[1]))
+    probs = output.probs_for(store, query_split)
+    pred = top_q(probs, min(cfg.k, probs.shape[1]))
     wanted = ~((cfg.prob_floor > 0) & (pred.probs < cfg.prob_floor))
     queries = store.pooled_all(query_split)
-    ids = np.array(qids, dtype=np.int64)
+    ids = store.ids(query_split)
     neighbors = np.zeros((*wanted.shape, cfg.n_neighbors), dtype=np.int64)
     for cid in np.unique(pred.classes[wanted]).tolist():
         at, rank = ((pred.classes == cid) & wanted).nonzero()
@@ -150,7 +150,7 @@ def rerank_split(store, output, index, scorer, cfg, query_split="test", mode="so
     at, rank = wanted.nonzero()
     s_scores = np.zeros(wanted.shape)
     if len(at):
-        rows2 = store.rows("train", neighbors[at, rank].ravel().tolist())
+        rows2 = store.rows("train", neighbors[at, rank].ravel())
         scores = scorer.score(np.repeat(at, cfg.n_neighbors), rows2, store=store,
                               query_split=query_split)
         s_scores[at, rank] = scores.reshape(-1, cfg.n_neighbors).mean(axis=1)
@@ -169,11 +169,11 @@ class RerankReport:
 
 def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
     """Top-1 accuracy of C alone, C->S (hard), and C x S (soft)."""
-    ids, labels = store.ids(query_split), store.labels(query_split)
+    labels = store.labels(query_split)
     soft = rerank_split(store, output, index, scorer, cfg, query_split)
     # hard mode re-ranks the same candidates by the same s scores
     hard = replace(soft, mode="hard")
-    acc_c = np.mean(np.argmax(output.probs_of(ids), axis=1) == labels)
+    acc_c = np.mean(np.argmax(output.probs_for(store, query_split), axis=1) == labels)
     mean_q = float(np.mean(soft.comparator_queries)) if len(soft) else 0.0
     return RerankReport(
         accuracy_c=float(acc_c),
@@ -272,6 +272,6 @@ def sanity_suite(model, store, seed=0):
 def topq_ceiling(store, output, q_values, query_split="test"):
     """Cumulative top-Q accuracy table: fraction of queries with gt in top-Q."""
     labels = store.labels(query_split)
-    order = np.argsort(-output.probs_of(store.ids(query_split)), axis=1, kind="stable")
+    order = np.argsort(-output.probs_for(store, query_split), axis=1, kind="stable")
     ranks = np.argmax(order == labels[:, None], axis=1)
     return {int(q): float(np.mean(ranks < q)) for q in q_values}

@@ -394,7 +394,7 @@ def test_c04_k1_invariance():
     index = ClassIndex.build(store)
     results = rerank_split(store, out, index, CosineScorer(),
                            RerankConfig(k=1))
-    agree = [p == int(np.argmax(out.row(q)))
+    agree = [p == int(np.argmax(out.probs[store.rows("test", [q])[0]]))
              for q, p in zip(results.query_ids.tolist(), results.predicted.tolist())]
     assert all(agree)
 

@@ -61,7 +61,7 @@ class TestPredictSynthetic:
     def test_dominant_logit(self):
         store, centroids = centered_store()
         clf = SyntheticClassifier(centroids, tau=0.01)
-        probs = clf.predict_split(store, "test").row(0)
+        probs = clf.predict_split(store, "test").probs[store.rows("test", [0])[0]]
         assert probs[store.class_of("test", 0)] > 0.99
 
     def test_equidistant_symmetry(self):
@@ -72,7 +72,7 @@ class TestPredictSynthetic:
             {"train": np.zeros((1, 1, 2)), "test": np.zeros((1, 1, 2))},
         )
         clf = SyntheticClassifier(centroids, tau=1.0)
-        probs = clf.predict_split(store, "test").row(0)
+        probs = clf.predict_split(store, "test").probs[store.rows("test", [0])[0]]
         assert probs[0] == pytest.approx(probs[1], abs=1e-9)
 
     def test_bad_temperature(self):

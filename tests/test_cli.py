@@ -228,7 +228,7 @@ def test_explain_rejects_unknown_class_id(capsys, tmp_path, class_id):
     store.save(str(manifest), str(payload))
     entry = {"class": class_id, "prob": 0.5, "neighbors": [], "s_score": None, "final": None}
     results = tmp_path / "r.jsonl"
-    results.write_text(json.dumps({"query": store.ids("test")[0], "predicted": 0,
+    results.write_text(json.dumps({"query": int(store.ids("test")[0]), "predicted": 0,
                                    "comparator_queries": 0, "classes": [entry]}) + "\n")
     code, _, err = run_cli(capsys, "explain", "--results", str(results),
                            "--manifest", str(manifest), "--payload", str(payload),
@@ -236,6 +236,33 @@ def test_explain_rejects_unknown_class_id(capsys, tmp_path, class_id):
     assert code == 1
     doc = json.loads(err)
     assert doc["error"] == "KeyError" and f"class id {class_id}" in doc["message"]
+    assert not (tmp_path / "explain.json").exists()
+
+
+@pytest.mark.parametrize("where", ["query", "neighbor"])
+def test_explain_rejects_dangling_ids(capsys, tmp_path, where):
+    # with sparse ids the two splits hold different ids: a train id is no
+    # query, a test id no neighbor
+    store, _ = toy_store(classes=4, sparse_ids=True)
+    manifest, payload = tmp_path / "m.json", tmp_path / "p.bin"
+    store.save(str(manifest), str(payload))
+    test_ids, train_ids = store.ids("test").tolist(), store.ids("train").tolist()
+    query, neighbor = test_ids[0], train_ids[0]
+    if where == "query":
+        bad = query = next(i for i in train_ids if i not in test_ids)
+    else:
+        bad = neighbor = next(i for i in test_ids if i not in train_ids)
+    entry = {"class": 0, "prob": 0.5, "neighbors": [train_ids[1], neighbor],
+             "s_score": 0.5, "final": 0.25}
+    results = tmp_path / "r.jsonl"
+    results.write_text(json.dumps({"query": query, "predicted": 0,
+                                   "comparator_queries": 2, "classes": [entry]}) + "\n")
+    code, _, err = run_cli(capsys, "explain", "--results", str(results),
+                           "--manifest", str(manifest), "--payload", str(payload),
+                           "--out", str(tmp_path / "explain.json"))
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["error"] == "KeyError" and f"dangling {where} id {bad}" in doc["message"]
     assert not (tmp_path / "explain.json").exists()
 
 

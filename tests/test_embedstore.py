@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcnn.classifier import ClassifierOutput, SyntheticClassifier
 from pcnn.embedstore import (
+    SPLITS,
     DatasetManifest,
     EmbeddingStore,
     IngestionError,
     build_store,
     payload_checksum,
 )
+from pcnn.nnindex import ClassIndex
+from pcnn.pairsampler import SamplerConfig, sample_eval, sample_train
+from pcnn.reranker import CosineScorer, RerankConfig, evaluate_rerank
 
 from conftest import toy_store
 
@@ -33,6 +40,73 @@ def test_rows_index_grids(small_store):
     assert store.rows("train", []).shape == (0,)
     with pytest.raises(KeyError):
         store.rows("train", [10**6])
+
+
+def test_sparse_shuffled_ids_are_looked_up_by_id():
+    """With ids that are not rows, every lookup agrees with a scan of the
+    manifest, and the pipeline gives the id == row store's outputs under
+    the id relabelling."""
+    dense, centroids = toy_store(seed=4)
+    store, _ = toy_store(seed=4, sparse_ids=True)
+    for split in SPLITS:
+        records = store.manifest.records[split]
+        ids = store.ids(split)
+        assert not np.array_equal(np.sort(ids), ids)
+        perm = np.random.default_rng(0).permutation(len(ids))
+        np.testing.assert_array_equal(store.rows(split, ids[perm]), perm)
+        for rid in ids[perm].tolist():
+            row = next(r for r, (i, _) in enumerate(records) if i == rid)
+            assert store.rows(split, [rid]).tolist() == [row]
+            assert store.class_of(split, rid) == records[row][1]
+            np.testing.assert_array_equal(store.grid(split, rid), dense.grids(split)[row])
+        for cid in range(store.manifest.num_classes):
+            assert store.by_class(split, cid) == sorted(i for i, c in records if c == cid)
+        absent = min(set(range(len(ids) + 1)) - set(ids.tolist()))
+        for missing in (absent, int(ids.max()) + 1):
+            with pytest.raises(KeyError, match=f"record id {missing} in split {split}"):
+                store.rows(split, [ids[0], missing])
+
+    # dense id i is row i, so it relabels to store.ids(split)[i]
+    relabel = {s: store.ids(s) for s in SPLITS}
+    clf = SyntheticClassifier(centroids, tau=1.0, corruption_rate=0.3, seed=7)
+    # the corruption draws per record id: both stores get the dense outputs
+    outputs = {s: clf.predict_split(dense, s) for s in SPLITS}
+    moved = {s: ClassifierOutput(s, relabel[s], outputs[s].probs) for s in SPLITS}
+    dense_index, index = ClassIndex.build(dense), ClassIndex.build(store)
+    cfg = SamplerConfig(q=3, seed=0)
+    for split, sample in (("train", sample_train), ("test", sample_eval)):
+        want = sample(dense, outputs[split], dense_index, cfg)
+        got = sample(store, moved[split], index, cfg)
+        assert got.pairs == [
+            replace(p, query_id=int(relabel[split][p.query_id]),
+                    neighbor_id=int(relabel["train"][p.neighbor_id]))
+            for p in want.pairs
+        ]
+        assert got.gt_in_topq == {int(relabel[split][q]): hit
+                                  for q, hit in want.gt_in_topq.items()}
+
+    rcfg = RerankConfig(k=3, n_neighbors=2, prob_floor=0.1)
+    want = evaluate_rerank(dense, outputs["test"], dense_index, CosineScorer(), rcfg)
+    got = evaluate_rerank(store, moved["test"], index, CosineScorer(), rcfg)
+    assert (got.accuracy_c, got.accuracy_soft, got.accuracy_hard) == (
+        want.accuracy_c, want.accuracy_soft, want.accuracy_hard)
+    for table, ref in ((got.results_soft, want.results_soft),
+                       (got.results_hard, want.results_hard)):
+        assert not ref.wanted.all()
+        np.testing.assert_array_equal(table.query_ids, relabel["test"][ref.query_ids])
+        np.testing.assert_array_equal(
+            table.neighbors,
+            np.where(ref.wanted[..., None], relabel["train"][ref.neighbors], 0))
+        for name in ("classes", "probs", "wanted", "s_scores", "predicted"):
+            np.testing.assert_array_equal(getattr(table, name), getattr(ref, name))
+
+
+def test_duplicate_record_id_names_id_and_split(small_store):
+    store, _ = small_store
+    manifest = DatasetManifest.from_json(store.manifest.to_json())
+    manifest.records["test"][3][0] = manifest.records["test"][5][0]
+    with pytest.raises(IngestionError, match="duplicate record id 5 in split test"):
+        EmbeddingStore.from_payload(manifest, store.export_payload())
 
 
 def test_labels_are_the_manifest_classes_derived_once(small_store):

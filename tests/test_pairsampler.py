@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcnn import pairsampler
-from pcnn.classifier import SyntheticClassifier, top_q
+from pcnn.classifier import ClassifierOutput, SyntheticClassifier, ValidationError, top_q
 from pcnn.embedstore import build_store
 from pcnn.nnindex import ClassIndex, InsufficientCandidatesError
 from pcnn.pairsampler import (
@@ -88,7 +88,7 @@ class TestTrainSampling:
         pairs = sample_train(store, out_train, index, SamplerConfig(q=q, seed=0))
         for p in pairs.negatives():
             gt = store.class_of("train", p.query_id)
-            pred = top_q(out_train.row(p.query_id), q)
+            pred = top_q(out_train.probs[store.rows("train", [p.query_id])[0]], q)
             assert p.source_class in set(pred.classes)
             assert p.source_class != gt
             assert store.class_of("train", p.neighbor_id) == p.source_class
@@ -123,6 +123,16 @@ class TestTrainSampling:
         assert [p.source_class for p in other.negatives()] != [
             p.source_class for p in pairs.negatives()
         ]
+
+    def test_outputs_must_be_the_split_in_store_order(self, pipeline):
+        # both splits hold ids 0..47, so the test outputs differ only by split
+        store, index, out_train, out_test = pipeline
+        perm = np.roll(np.arange(len(out_train.ids)), 1)
+        reordered = ClassifierOutput("train", np.array(out_train.ids)[perm],
+                                     out_train.probs[perm])
+        for out in (out_test, reordered):
+            with pytest.raises(ValidationError, match="store order"):
+                sample_train(store, out, index, SamplerConfig(q=3, seed=0))
 
     def test_class_too_small(self):
         store, centroids = toy_store(classes=3, per_class=3, seed=1)
@@ -205,7 +215,7 @@ def reference_sample(store, output, index, config, split):
     num_classes = store.manifest.num_classes
     for qid, pooled in zip(store.ids(split), store.pooled_all(split)):
         gt = store.class_of(split, qid)
-        probs = output.row(qid)
+        probs = output.probs[store.rows(split, [qid])[0]]
         top = sorted(range(num_classes), key=lambda c: (-probs[c], c))[: config.q]
         flags[qid] = gt in top
         exclude = {qid} if split == "train" else ()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcnn import reranker
-from pcnn.classifier import ClassifierOutput, SyntheticClassifier, top_q
+from pcnn.classifier import ClassifierOutput, SyntheticClassifier, ValidationError, top_q
 from pcnn.comparator import ComparatorConfig, ComparatorModel
 from pcnn.embedstore import build_store
 from pcnn.nnindex import ClassIndex
@@ -131,7 +131,7 @@ class TestRerank:
         cfg = RerankConfig(k=4)
         results = rerank_split(store, out, index, FixedScorer({}, default=1.0), cfg)
         for q, p in rows(results):
-            assert p == int(np.argmax(out.row(q)))
+            assert p == int(np.argmax(out.probs[store.rows("test", [q])[0]]))
 
     def test_hard_ignores_probability(self, world):
         store, index, out = world
@@ -141,9 +141,9 @@ class TestRerank:
                              mode="hard")
         # all scores equal: tie-break falls back to C probability
         assert table.query_ids[0] == qid
-        assert table.predicted[0] == int(np.argmax(out.row(qid)))
+        assert table.predicted[0] == int(np.argmax(out.probs[store.rows("test", [qid])[0]]))
         # now give the lowest-prob candidate a strictly higher score
-        pred = top_q(out.row(qid), 3)
+        pred = top_q(out.probs[store.rows("test", [qid])[0]], 3)
         low = int(pred.classes[-1])
         scores = {}
         pooled = store.pooled("test", qid)
@@ -158,7 +158,7 @@ class TestRerank:
         qid = store.ids("test")[1]
         cfg = RerankConfig(k=2, n_neighbors=3)
         pooled = store.pooled("test", qid)
-        pred = top_q(out.row(qid), 2)
+        pred = top_q(out.probs[store.rows("test", [qid])[0]], 2)
         table = {}
         want = {}
         for cid in pred.classes:
@@ -181,7 +181,7 @@ class TestRerank:
         cfg = RerankConfig(k=3)
         # identical scores everywhere: tie-break is C prob, then lower id
         r = rerank_split(store, out, index, FixedScorer({}, default=0.7), cfg, mode="hard")
-        pred = top_q(out.row(qid), 3)
+        pred = top_q(out.probs[store.rows("test", [qid])[0]], 3)
         assert r.predicted[2] == int(pred.classes[0])
 
     def test_prob_floor_skips_classes(self, world):
@@ -304,6 +304,15 @@ class TestEvaluate:
             top = report.results_soft.probs
             assert np.any(top[:, 0] == top[:, 1])
 
+    def test_outputs_must_be_the_split_in_store_order(self, world):
+        store, index, out = world
+        perm = np.roll(np.arange(len(out.ids)), 1)
+        other_split = ClassifierOutput("train", out.ids, out.probs)
+        reordered = ClassifierOutput("test", np.array(out.ids)[perm], out.probs[perm])
+        for bad in (other_split, reordered):
+            with pytest.raises(ValidationError, match="store order"):
+                evaluate_rerank(store, bad, index, CosineScorer(), RerankConfig(k=3))
+
 
 class TestBatchedParity:
     @pytest.mark.parametrize("n_neighbors, floor", [(1, 0.0), (3, 0.0), (3, 0.15)])
@@ -322,7 +331,7 @@ class TestBatchedParity:
         for i, qid in enumerate(store.ids("test")):
             assert results.query_ids[i] == qid
             pooled = store.pooled_all("test")[store.rows("test", [qid])[0]]
-            pred = top_q(out.row(qid), 4)
+            pred = top_q(out.probs[store.rows("test", [qid])[0]], 4)
             want = []
             for cid, p in zip(pred.classes.tolist(), pred.probs.tolist()):
                 if floor > 0 and p < floor:
@@ -350,7 +359,8 @@ class TestBatchedParity:
                                  RerankConfig(k=3, n_neighbors=2, prob_floor=0.1))
         labels = {rid: store.class_of("test", rid) for rid in store.ids("test")}
         assert report.accuracy_c == np.mean(
-            [int(np.argmax(out.row(rid)) == labels[rid]) for rid in store.ids("test")])
+            [int(np.argmax(out.probs[store.rows("test", [rid])[0]]) == labels[rid])
+             for rid in store.ids("test")])
         for acc, results in ((report.accuracy_soft, report.results_soft),
                              (report.accuracy_hard, report.results_hard)):
             assert acc == np.mean([int(p == labels[q]) for q, p in rows(results)])
@@ -363,7 +373,7 @@ class TestBatchedParity:
         out.probs = np.round(out.probs, 1)
         ranks = []
         for rid, label in zip(store.ids("test"), store.labels("test")):
-            row = out.row(rid)
+            row = out.probs[store.rows("test", [rid])[0]]
             ranks.append(sorted(range(6), key=lambda c: (-row[c], c)).index(label))
         table = topq_ceiling(store, out, range(1, 7))
         assert table == {q: float(np.mean(np.array(ranks) < q)) for q in range(1, 7)}
