@@ -1,7 +1,9 @@
-"""Atomic artifact writes: a reader sees the old file or the new one, never
-a partial one."""
+"""Artifact integrity: atomic writes, so a reader sees the old file or the
+new one, never a partial one; and the one length-and-sha256 check of a blob
+artifact (store payload, checkpoint, classifier matrix) against its header."""
 
 import contextlib
+import hashlib
 import os
 
 
@@ -19,3 +21,24 @@ def atomic_open(path, mode="w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def sha256(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
+def write_blob(blob_path, blob, header_path, header_text):
+    """Write the blob, then its header (JSON text), each atomically."""
+    with atomic_open(blob_path, "wb") as fh:
+        fh.write(blob)
+    with atomic_open(header_path) as fh:
+        fh.write(header_text)
+
+
+def check_blob(blob, nbytes, digest, where, error):
+    """Raise `error`, naming `where`, unless the blob has `nbytes` bytes and
+    the sha256 `digest`."""
+    if len(blob) != nbytes:
+        raise error(f"{where}: {len(blob)} bytes, expected {nbytes}")
+    if sha256(blob) != digest:
+        raise error(f"{where}: sha256 checksum differs from the recorded one")

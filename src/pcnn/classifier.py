@@ -5,14 +5,13 @@ and can be weakened by a seeded corruption that swaps the top-1 probability
 with a uniformly chosen other class among its top-Q.
 """
 
-import hashlib
 import json
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomicio import atomic_open
+from .atomicio import check_blob, sha256, write_blob
 
 PROB_SUM_TOL = 1e-4
 # dtype of a probability matrix written by `save_outputs`
@@ -135,21 +134,10 @@ def save_outputs(output, matrix_path, sidecar_path):
     """Write the probabilities as raw little-endian f8 and a JSON sidecar
     holding the ids, the dtype, the byte length and the sha256 of the matrix."""
     blob = output.probs.astype("<f8").tobytes()
-    with atomic_open(matrix_path, "wb") as fh:
-        fh.write(blob)
-    with atomic_open(sidecar_path) as fh:
-        json.dump(
-            {
-                "split": output.split,
-                "ids": [int(i) for i in output.ids],
-                "classes": int(output.probs.shape[1]),
-                "dtype": MATRIX_DTYPE,
-                "bytes": len(blob),
-                "sha256": hashlib.sha256(blob).hexdigest(),
-            },
-            fh,
-            indent=2,
-        )
+    sidecar = {"split": output.split, "ids": [int(i) for i in output.ids],
+               "classes": int(output.probs.shape[1]), "dtype": MATRIX_DTYPE,
+               "bytes": len(blob), "sha256": sha256(blob)}
+    write_blob(matrix_path, blob, sidecar_path, json.dumps(sidecar, indent=2))
 
 
 def load_precomputed(matrix_path, sidecar_path):
@@ -167,10 +155,7 @@ def load_precomputed(matrix_path, sidecar_path):
     if side.get("bytes") != n * c * 8:
         raise ValidationError(f"{sidecar_path}: {side.get('bytes')} bytes recorded "
                               f"for {n} ids x {c} classes")
-    if len(blob) != n * c * 8:
-        raise ValidationError(f"{matrix_path}: {len(blob)} bytes, expected {n * c * 8}")
-    if hashlib.sha256(blob).hexdigest() != side.get("sha256"):
-        raise ValidationError(f"{matrix_path}: sha256 does not match {sidecar_path}")
+    check_blob(blob, n * c * 8, side.get("sha256"), matrix_path, ValidationError)
     probs = np.frombuffer(blob, dtype=MATRIX_DTYPE).reshape(n, c).astype(np.float64)
     try:
         return ClassifierOutput(side["split"], side["ids"], probs).validate()

@@ -7,7 +7,6 @@ Trained with momentum SGD under a one-cycle learning-rate schedule on
 binary cross-entropy; the checkpoint with the best eval F1 is kept.
 """
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -15,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import numkernel as nk
-from .atomicio import atomic_open
+from .atomicio import check_blob, sha256, write_blob
 from .pairsampler import POSITIVE, pairset_rows
 
 class TrainingError(RuntimeError):
@@ -34,8 +33,14 @@ class ComparatorConfig:
     jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.blocks < 0:
-            raise ValueError("blocks (L) must be >= 0")
+        for name in ("depth", "tokens", "heads", "mlp_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("blocks", "cross_layers", "self_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.jitter_sigma < math.inf:
+            raise ValueError("jitter_sigma must be finite and >= 0")
         if self.blocks > 0 and self.depth % self.heads != 0:
             raise nk.ConfigError(
                 f"depth {self.depth} not divisible by {self.heads} heads"
@@ -387,6 +392,11 @@ class TrainConfig:
             raise ValueError("batch size must be >= 2 (batch norm)")
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup fraction must be in [0, 1)")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
+        for name in ("max_lr", "div_factor", "final_div_factor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass
@@ -471,6 +481,8 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
             correct += int(np.sum((logits.data > 0) == (y == 1)))
             trained += len(idx)
             step += 1
+        if bad := _non_finite(model.state_arrays()):
+            raise TrainingError(f"non-finite parameter {bad!r} after epoch {epoch}")
         metrics = evaluate_binary(model, store, eval_pairs, threshold, cfg.batch_size)
         row = {
             "epoch": epoch,
@@ -496,35 +508,40 @@ class CheckpointError(ValueError):
     """A checkpoint whose header or blob does not match what it declares."""
 
 
+def _non_finite(arrays):
+    """Name of the first array, in name order, with a non-finite value."""
+    return next((name for name in sorted(arrays) if not np.isfinite(arrays[name]).all()), None)
+
+
 def save_checkpoint(model, path_blob, path_header, extra=None):
     """Write the state arrays as one f8 blob, then a JSON header with the
-    config, every array's shape and the blob's byte length and sha256."""
+    config, every array's shape and the blob's byte length and sha256; a
+    non-finite array raises CheckpointError and nothing is written."""
     arrays = model.state_arrays()
+    if bad := _non_finite(arrays):
+        raise CheckpointError(f"{path_blob}: array {bad!r} holds a non-finite value")
     order = sorted(arrays)
     blob = b"".join(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes() for name in order)
     header = {
         "config": asdict(model.cfg),
         "arrays": {name: list(arrays[name].shape) for name in order},
         "blob_bytes": len(blob),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
+        "blob_sha256": sha256(blob),
         "extra": extra or {},
     }
-    with atomic_open(path_blob, "wb") as fh:
-        fh.write(blob)
-    with atomic_open(path_header) as fh:
-        fh.write(json.dumps(header, indent=2))
+    write_blob(path_blob, blob, path_header, json.dumps(header, indent=2))
 
 
 def load_checkpoint(path_blob, path_header):
     """Load a checkpoint; raises CheckpointError naming the file when the
-    header's shapes differ from a freshly built model's, or the blob's byte
-    length or sha256 differs from the header's."""
+    header's shapes differ from a freshly built model's, the blob's byte
+    length or sha256 differs from the header's, or an array is not finite."""
     try:
         with open(path_header) as fh:
             header = json.load(fh)
         cfg = ComparatorConfig(**header["config"])
         shapes = {name: tuple(shape) for name, shape in header["arrays"].items()}
-        nbytes, sha256 = int(header["blob_bytes"]), str(header["blob_sha256"])
+        nbytes, digest = int(header["blob_bytes"]), str(header["blob_sha256"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path_header}: malformed header ({exc!r})") from exc
     model = ComparatorModel(cfg, seed=0)
@@ -539,15 +556,14 @@ def load_checkpoint(path_blob, path_header):
         raise CheckpointError(f"{path_header}: blob_bytes {nbytes} does not fit the arrays")
     with open(path_blob, "rb") as fh:
         blob = fh.read()
-    if len(blob) != nbytes:
-        raise CheckpointError(f"{path_blob}: {len(blob)} bytes, header says {nbytes}")
-    if hashlib.sha256(blob).hexdigest() != sha256:
-        raise CheckpointError(f"{path_blob}: sha256 differs from the header's")
+    check_blob(blob, nbytes, digest, path_blob, CheckpointError)
     snap, offset = {}, 0
     for name in sorted(shapes):
         count = math.prod(shapes[name])
         snap[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(
             shapes[name]).copy()
         offset += 8 * count
+    if bad := _non_finite(snap):
+        raise CheckpointError(f"{path_blob}: array {bad!r} holds a non-finite value")
     model.restore(snap)
     return model, header

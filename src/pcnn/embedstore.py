@@ -2,19 +2,19 @@
 
 Payload layout: records concatenated in manifest order (all train records,
 then all test records), each record a row-major T x D little-endian f32
-block. The manifest is JSON and carries a sha256 of the payload.
+block. The manifest is JSON and carries a sha256 of the payload, which
+`atomicio.check_blob` checks on load with the payload's length.
 
 Row i of a split is its i-th manifest record in every per-split array (grids,
 pooled vectors, labels, ids); `rows` is the one map from record ids to rows.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomicio import atomic_open
+from .atomicio import check_blob, sha256, write_blob
 
 SPLITS = ("train", "test")
 
@@ -64,10 +64,6 @@ class DatasetManifest:
             records={s: [[int(r), int(c)] for r, c in d["records"][s]] for s in SPLITS},
             checksum=d["checksum"],
         )
-
-
-def payload_checksum(payload):
-    return hashlib.sha256(payload).hexdigest()
 
 
 class EmbeddingStore:
@@ -141,51 +137,40 @@ class EmbeddingStore:
     # ---- ingest / export ----------------------------------------------
 
     @staticmethod
-    def from_payload(manifest, payload):
+    def from_payload(manifest, payload, where="payload"):
+        """The store of a manifest and its payload bytes (from the file `where`)."""
         t, d = manifest.tokens, manifest.depth
-        rec_bytes = t * d * 4
-        counts = {s: len(manifest.records[s]) for s in SPLITS}
-        expected = sum(counts.values()) * rec_bytes
-        if len(payload) != expected:
-            offset = min(len(payload), expected)
-            raise IngestionError(
-                f"payload length {len(payload)} != expected {expected} (error at byte {offset})"
-            )
-        if payload_checksum(payload) != manifest.checksum:
-            raise IngestionError("payload checksum mismatch")
+        n_train = len(manifest.records["train"])
+        n = n_train + len(manifest.records["test"])
+        check_blob(payload, n * t * d * 4, manifest.checksum, where, IngestionError)
         for split in SPLITS:
             for rid, cid in manifest.records[split]:
                 if cid < 0 or cid >= manifest.num_classes:
                     raise IngestionError(f"unknown class id {cid} for record {rid}")
-        flat = np.frombuffer(payload, dtype="<f4")
-        grids = {}
-        off = 0
-        for split in SPLITS:
-            n = counts[split]
-            block = flat[off : off + n * t * d].reshape(n, t, d).astype(np.float64)
-            if not np.all(np.isfinite(block)):
-                raise IngestionError(f"non-finite value in split {split}")
-            grids[split] = block
-            off += n * t * d
+        flat = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, t, d)
+        grids = dict(zip(SPLITS, np.split(flat, [n_train])))
+        for split, block in grids.items():
+            if not np.isfinite(block).all():
+                raise IngestionError(f"{where}: non-finite value in split {split}")
         return EmbeddingStore(manifest, grids)
 
     @staticmethod
     def load(manifest_path, payload_path):
         with open(manifest_path) as fh:
-            manifest = DatasetManifest.from_json(fh.read())
+            try:
+                manifest = DatasetManifest.from_json(fh.read())
+            except (KeyError, TypeError, ValueError) as exc:
+                raise IngestionError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
         with open(payload_path, "rb") as fh:
             payload = fh.read()
-        return EmbeddingStore.from_payload(manifest, payload)
+        return EmbeddingStore.from_payload(manifest, payload, payload_path)
 
     def export_payload(self):
         parts = [self._grids[s].astype("<f4").tobytes() for s in SPLITS]
         return b"".join(parts)
 
     def save(self, manifest_path, payload_path):
-        with atomic_open(payload_path, "wb") as fh:
-            fh.write(self.export_payload())
-        with atomic_open(manifest_path) as fh:
-            fh.write(self.manifest.to_json())
+        write_blob(payload_path, self.export_payload(), manifest_path, self.manifest.to_json())
 
 
 def build_store(dataset, class_names, records, grids_by_split):
@@ -207,7 +192,7 @@ def build_store(dataset, class_names, records, grids_by_split):
         tokens=int(t),
         depth=int(d),
         records={s: [[int(r), int(c)] for r, c in records[s]] for s in SPLITS},
-        checksum=payload_checksum(payload),
+        checksum=sha256(payload),
     )
     # round through f32 so in-memory grids equal a reloaded store bitwise
     f32 = {s: grids[s].astype(np.float32).astype(np.float64) for s in SPLITS}

@@ -179,8 +179,8 @@ def prepare(cfg, seed):
 def train_comparator(pipe):
     """Train a fresh comparator on the pipeline's train pairs, selecting the
     epoch by F1 on its eval pairs."""
-    model = ComparatorModel(pipe.comparator_cfg, seed=pipe.seed)
     with _stage("training"):
+        model = ComparatorModel(pipe.comparator_cfg, seed=pipe.seed)
         return comparator.train(
             model, pipe.store, pipe.train_pairs, pipe.eval_pairs, pipe.train_cfg
         )

@@ -1,7 +1,8 @@
 """Exact squared-L2 nearest-neighbor index over pooled train vectors.
 
 The pooled vectors are stored once, rows ordered by (class, record id), with
-the row bounds of each class; every query ranks one row range. Distances are
+the row bounds of each class; every query ranks one row range, and
+`nearest` serves a batch of (query, class) requests in one call. Distances are
 exact squared L2 (monotone with L2); ties break by ascending record id. The
 index is immutable after build; `subsample` returns a new index.
 """
@@ -41,7 +42,10 @@ class ClassIndex:
         return list(range(len(self._bounds) - 1))
 
     def _rows(self, class_id):
-        """Row range of a class; KeyError for an unknown (or negative) id."""
+        """Row range of a class, or of every row for None; KeyError for an
+        unknown (or negative) id."""
+        if class_id is None:
+            return 0, len(self._ids)
         if not 0 <= class_id < len(self._bounds) - 1:
             raise KeyError(f"unknown class id {class_id}")
         return self._bounds[class_id], self._bounds[class_id + 1]
@@ -68,20 +72,22 @@ class ClassIndex:
         rows = np.concatenate(kept)
         return ClassIndex(self._vecs[rows], self._ids[rows], bounds)
 
-    def _nearest(self, queries, lo, hi, k, skip_q=(), skip_c=()):
-        """The k nearest of rows lo:hi for each query row by ascending
-        (distance, id), query skip_q[j] skipping row lo + skip_c[j]: (n, k)
-        rows and their direct-form squared distances.
+    def _nearest(self, queries, class_id, k, skip_q=(), skip_c=()):
+        """The k nearest rows lo:hi = `_rows(class_id)` for each query row by
+        ascending (distance, id), query skip_q[j] skipping row lo + skip_c[j]:
+        (n, k) rows and their direct-form squared distances.
 
         The Gram-form kernel picks the candidates, widened by a bound on its
         rounding error, and only they are ranked by the direct form, so the
         result equals ranking every row by the direct form."""
+        lo, hi = self._rows(class_id)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         skip_q = np.asarray(skip_q, dtype=np.intp)
         skip_c = np.asarray(skip_c, dtype=np.intp)
         have = (hi - lo) - np.bincount(skip_q, minlength=len(queries))
         if len(queries) and have.min() < k:
-            raise InsufficientCandidatesError(f"need {k} candidates, have {have.min()}")
+            cls = "" if class_id is None else f"class {class_id}: "
+            raise InsufficientCandidatesError(f"{cls}need {k} candidates, have {have.min()}")
         rows = np.empty((len(queries), k), dtype=np.intp)
         dists = np.empty((len(queries), k))
         if k == 0:
@@ -109,29 +115,33 @@ class ClassIndex:
             dists[s:s + len(q)] = d[pick]
         return rows, dists
 
-    def _nearest_one(self, query, lo, hi, k, exclude):
+    def _nearest_one(self, query, class_id, k, exclude):
         """`_nearest` for one query that skips the ids in `exclude`."""
+        lo, hi = self._rows(class_id)
         skip = np.isin(self._ids[lo:hi], list(exclude)).nonzero()[0] if exclude else ()
-        rows, dists = self._nearest(query, lo, hi, k, np.zeros(len(skip), np.intp), skip)
+        rows, dists = self._nearest(query, class_id, k, np.zeros(len(skip), np.intp), skip)
         return rows[0], self._ids[rows[0]], dists[0]
 
-    def nearest_k_many(self, queries, class_id, k, exclude=None):
-        """Ids of the k nearest records of a class for each query row, by
-        ascending (distance, id), as an (n, k) array; `exclude`, if given,
-        holds one record id per query that the query skips."""
-        lo, hi = self._rows(class_id)
-        skip_q = skip_c = ()
-        if exclude is not None and hi > lo:
-            # class rows ascend by id: find each excluded id's row, if any
-            exclude = np.asarray(exclude)
-            pos = np.minimum(np.searchsorted(self._ids[lo:hi], exclude), hi - lo - 1)
-            skip_q = (self._ids[lo + pos] == exclude).nonzero()[0]
-            skip_c = pos[skip_q]
-        try:
-            rows, _ = self._nearest(queries, lo, hi, k, skip_q, skip_c)
-        except InsufficientCandidatesError as exc:
-            raise InsufficientCandidatesError(f"class {class_id}: {exc}") from exc
-        return self._ids[rows]
+    def nearest(self, queries, classes, k, exclude=None):
+        """Ids of the k nearest records of class classes[j] for each query
+        row j, by ascending (distance, id), as an (n, k) array, each class
+        ranked once for all its queries; `exclude`, if given, holds one
+        record id per query that the query skips."""
+        classes = np.asarray(classes)
+        out = np.empty((len(classes), k), dtype=self._ids.dtype)
+        for cid in np.unique(classes).tolist():
+            at = (classes == cid).nonzero()[0]
+            lo, hi = self._rows(cid)
+            skip_q = skip_c = ()
+            if exclude is not None and hi > lo:
+                # class rows ascend by id: find each excluded id's row, if any
+                want = np.asarray(exclude)[at]
+                pos = np.minimum(np.searchsorted(self._ids[lo:hi], want), hi - lo - 1)
+                skip_q = (self._ids[lo + pos] == want).nonzero()[0]
+                skip_c = pos[skip_q]
+            rows, _ = self._nearest(queries[at], cid, k, skip_q, skip_c)
+            out[at] = self._ids[rows]
+        return out
 
     def nearest_in_class(self, query, class_id, rank=1, exclude=()):
         """n-th nearest (1-based) non-excluded record of a class."""
@@ -140,14 +150,11 @@ class ClassIndex:
         return self.nearest_k_in_class(query, class_id, rank, exclude)[rank - 1]
 
     def nearest_k_in_class(self, query, class_id, k, exclude=()):
-        try:
-            _, ids, dists = self._nearest_one(query, *self._rows(class_id), k, exclude)
-        except InsufficientCandidatesError as exc:
-            raise InsufficientCandidatesError(f"class {class_id}: {exc}") from exc
+        _, ids, dists = self._nearest_one(query, class_id, k, exclude)
         return [(int(i), float(d)) for i, d in zip(ids, dists)]
 
     def topk_global(self, query, k, exclude=()):
         """Exact global top-k (ascending distance, id tie-break)."""
-        rows, ids, dists = self._nearest_one(query, 0, len(self._ids), k, exclude)
+        rows, ids, dists = self._nearest_one(query, None, k, exclude)
         classes = np.searchsorted(self._bounds, rows, side="right") - 1
         return [(int(i), float(d), int(c)) for i, d, c in zip(ids, dists, classes)]

@@ -4,7 +4,8 @@ Per query: Q positives (the Q nearest same-class train records, query
 excluded when it lives in the train split) and one negative per
 non-ground-truth class — top-Q classes in hard mode, uniformly random other
 classes in random mode. With the ground truth inside the top-Q this yields
-2Q-1 pairs, otherwise 2Q.
+2Q-1 pairs, otherwise 2Q. One `ClassIndex.nearest` call retrieves every
+query's positives and one every negative.
 
 Evaluation sets additionally drop pairs whose grids are bitwise identical
 and are trimmed (seeded) to an exact 50/50 label balance.
@@ -17,7 +18,6 @@ import numpy as np
 
 from .atomicio import atomic_open
 from .classifier import top_q
-from .nnindex import InsufficientCandidatesError
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -99,27 +99,8 @@ def _sample(store, output, index, config, split):
         config, classes, gts, in_topq, ids.tolist(), store.manifest.num_classes
     )
 
-    # retrieve class by class, for every query that needs the class at once
-    positives = np.empty((len(ids), config.q), dtype=np.int64)
-    for cid in np.unique(gts).tolist():
-        at = (gts == cid).nonzero()[0]
-        exclude = ids[at] if split == "train" else None
-        try:
-            positives[at] = index.nearest_k_many(queries[at], cid, config.q, exclude)
-        except InsufficientCandidatesError as exc:
-            raise InsufficientCandidatesError(
-                f"class {cid} too small for {config.q} positives: {exc}"
-            ) from exc
-    negatives = np.empty(len(neg_class), dtype=np.int64)
-    for cid in np.unique(neg_class).tolist():
-        at = (neg_class == cid).nonzero()[0]
-        try:
-            hits = index.nearest_k_many(queries[neg_query[at]], cid, config.nn_rank)
-        except InsufficientCandidatesError as exc:
-            raise InsufficientCandidatesError(
-                f"class {cid} too small for negative at rank {config.nn_rank}: {exc}"
-            ) from exc
-        negatives[at] = hits[:, -1]
+    positives = index.nearest(queries, gts, config.q, ids if split == "train" else None)
+    negatives = index.nearest(queries[neg_query], neg_class, config.nn_rank)[:, -1]
 
     # each query's positives by rank, then its negatives in class order
     n, q = positives.shape

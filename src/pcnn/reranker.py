@@ -3,8 +3,9 @@
 For each query: take the classifier's top-K classes, retrieve the nearest
 in-class training records, score each pair with the comparator, and re-rank
 either by probability x score (soft, product of experts) or by score alone
-(hard). A split is re-ranked as a whole: one `RerankTable` holds every
-query's candidates, neighbors and s scores as arrays, and its final scores
+(hard). A split is re-ranked as a whole: one `ClassIndex.nearest` call
+retrieves every neighbor, one `RerankTable` holds every query's
+candidates, neighbors and s scores as arrays, and its final scores
 and predictions are derived from them. Also: kNN baselines, sanity checks,
 and the top-Q ceiling table.
 """
@@ -124,19 +125,17 @@ def _candidates(store, index, query_split, output, cfg):
     """Ids of the split's queries in store order, the top-K classes of every
     query with their probabilities, the mask of classes at or above the
     probability floor, and each such class's retrieved neighbors as an
-    (n, K, n_neighbors) id array, fetched class by class for all the queries
-    that want the class at once."""
+    (n, K, n_neighbors) id array, from one `ClassIndex.nearest` call."""
     probs = output.probs_for(store, query_split)
     pred = top_q(probs, min(cfg.k, probs.shape[1]))
     wanted = ~((cfg.prob_floor > 0) & (pred.probs < cfg.prob_floor))
     queries = store.pooled_all(query_split)
     ids = store.ids(query_split)
     neighbors = np.zeros((*wanted.shape, cfg.n_neighbors), dtype=np.int64)
-    for cid in np.unique(pred.classes[wanted]).tolist():
-        at, rank = ((pred.classes == cid) & wanted).nonzero()
-        exclude = ids[at] if query_split == "train" else None
-        neighbors[at, rank] = index.nearest_k_many(queries[at], cid, cfg.n_neighbors,
-                                                   exclude)
+    at, rank = wanted.nonzero()
+    exclude = ids[at] if query_split == "train" else None
+    neighbors[at, rank] = index.nearest(queries[at], pred.classes[at, rank],
+                                        cfg.n_neighbors, exclude)
     return ids, pred.classes, pred.probs, wanted, neighbors
 
 

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from pcnn import comparator, pairsampler, reranker
-from pcnn.atomicio import atomic_open
+from pcnn.atomicio import atomic_open, check_blob, sha256, write_blob
 from pcnn.classifier import SyntheticClassifier, save_outputs
 from pcnn.comparator import ComparatorConfig, ComparatorModel
 from pcnn.nnindex import ClassIndex
@@ -81,3 +81,35 @@ def test_error_inside_block_keeps_previous_file(tmp_path):
     assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
 
+
+
+def test_sha256_is_hex_digest():
+    assert sha256(b"") == (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    )
+
+
+class _Bad(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: b[:-1], "3 bytes, expected 4"),
+    (lambda b: bytes([b[0] ^ 1]) + b[1:], "sha256"),
+], ids=["truncated", "flipped"])
+def test_check_blob_names_where_with_the_callers_error(edit, message):
+    blob = b"abcd"
+    check_blob(blob, 4, sha256(blob), "x.bin", _Bad)
+    with pytest.raises(_Bad, match=f"x.bin: {message}"):
+        check_blob(edit(blob), 4, sha256(blob), "x.bin", _Bad)
+
+
+def test_write_blob_writes_blob_then_header(tmp_path, monkeypatch):
+    moved = []
+    real = os.replace
+    monkeypatch.setattr(os, "replace", lambda a, b: (moved.append(os.path.basename(b)),
+                                                     real(a, b)))
+    write_blob(tmp_path / "b.bin", b"\x00\x01", tmp_path / "b.json", "{}")
+    assert moved == ["b.bin", "b.json"]
+    assert (tmp_path / "b.bin").read_bytes() == b"\x00\x01"
+    assert (tmp_path / "b.json").read_text() == "{}"

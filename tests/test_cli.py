@@ -266,6 +266,18 @@ def test_explain_rejects_dangling_ids(capsys, tmp_path, where):
     assert not (tmp_path / "explain.json").exists()
 
 
+def test_ingest_names_the_truncated_payload(capsys, tmp_path):
+    store, _ = toy_store(classes=4)
+    manifest, payload = tmp_path / "m.json", tmp_path / "p.bin"
+    store.save(str(manifest), str(payload))
+    payload.write_bytes(payload.read_bytes()[:-4])
+    code, _, err = run_cli(capsys, "ingest", "--manifest", str(manifest),
+                           "--payload", str(payload))
+    assert code == 1
+    doc = json.loads(err)
+    assert doc["error"] == "IngestionError" and doc["message"].startswith(f"{payload}: ")
+
+
 def test_rerank_without_checkpoint_fails(cfg_path, capsys, tmp_path):
     root, path = cfg_path
     cfg = json.loads(path.read_text())

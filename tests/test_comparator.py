@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -462,6 +463,56 @@ def saved(tmp_path):
     blob, head = tmp_path / "m.bin", tmp_path / "m.json"
     save_checkpoint(model, blob, head)
     return blob, head
+
+
+class TestNonFiniteState:
+    def test_training_stops_when_a_parameter_turns_non_finite(self, tiny_task):
+        """One batch per epoch: the loss never sees the NaN weights, so only
+        the parameter check can stop a NaN learning rate."""
+        store, train_pairs, eval_pairs = tiny_task
+        cfg = TrainConfig(epochs=1, batch_size=512, seed=0)
+        cfg.max_lr = float("nan")  # past the config check, as a diverging run would be
+        model = ComparatorModel(small_cfg(), seed=0)
+        with pytest.raises(TrainingError, match="non-finite parameter .* after epoch 0"):
+            train(model, store, train_pairs, eval_pairs, cfg)
+
+    def test_save_rejects_non_finite_array(self, tmp_path):
+        model = ComparatorModel(small_cfg(), seed=3)
+        model.x_pos.data[0, 0] = np.inf
+        blob = tmp_path / "m.bin"
+        with pytest.raises(CheckpointError, match=re.escape(str(blob)) + ".*'x_pos'"):
+            save_checkpoint(model, blob, tmp_path / "m.json")
+        assert not list(tmp_path.iterdir())
+
+    def test_load_rejects_non_finite_array(self, saved):
+        blob, head = saved
+        header = json.loads(head.read_text())
+        data = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+        data[0] = np.nan  # the first array in name order
+        blob.write_bytes(data.tobytes())
+        header["blob_sha256"] = hashlib.sha256(blob.read_bytes()).hexdigest()
+        head.write_text(json.dumps(header))
+        first = sorted(header["arrays"])[0]
+        with pytest.raises(CheckpointError, match=re.escape(str(blob)) + f".*'{first}'"):
+            load_checkpoint(blob, head)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("mlp_hidden", 0), ("heads", 0), ("depth", 0), ("self_layers", -1),
+        ("jitter_sigma", -1.0), ("jitter_sigma", float("nan")),
+    ])
+    def test_comparator_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("momentum", -1.0), ("momentum", 1.0), ("max_lr", float("nan")), ("max_lr", 0.0),
+        ("div_factor", float("inf")), ("final_div_factor", -1.0),
+    ])
+    def test_train_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestCheckpointIntegrity:

@@ -12,7 +12,6 @@ from pcnn.embedstore import (
     EmbeddingStore,
     IngestionError,
     build_store,
-    payload_checksum,
 )
 from pcnn.nnindex import ClassIndex
 from pcnn.pairsampler import SamplerConfig, sample_eval, sample_train
@@ -156,6 +155,40 @@ def test_checksum_mismatch(small_store):
         EmbeddingStore.from_payload(store.manifest, bytes(payload))
 
 
+class TestLoadNamesTheFile:
+    """`EmbeddingStore.load` names the file at fault."""
+
+    @pytest.fixture
+    def saved(self, small_store, tmp_path):
+        store, _ = small_store
+        manifest, payload = tmp_path / "manifest.json", tmp_path / "payload.bin"
+        store.save(manifest, payload)
+        return manifest, payload
+
+    def test_truncated_payload(self, saved):
+        manifest, payload = saved
+        data = payload.read_bytes()
+        payload.write_bytes(data[:-4])
+        with pytest.raises(IngestionError,
+                           match=f"{payload}: {len(data) - 4} bytes, expected {len(data)}"):
+            EmbeddingStore.load(manifest, payload)
+
+    def test_flipped_byte(self, saved):
+        manifest, payload = saved
+        data = bytearray(payload.read_bytes())
+        data[7] ^= 0x01
+        payload.write_bytes(bytes(data))
+        with pytest.raises(IngestionError, match=f"{payload}: sha256 checksum"):
+            EmbeddingStore.load(manifest, payload)
+
+    @pytest.mark.parametrize("text", ["{", "{}", '{"records": 3}'])
+    def test_malformed_manifest(self, saved, text):
+        manifest, payload = saved
+        manifest.write_text(text)
+        with pytest.raises(IngestionError, match=f"{manifest}: malformed manifest"):
+            EmbeddingStore.load(manifest, payload)
+
+
 def test_unknown_class_id(small_store):
     store, _ = small_store
     manifest = DatasetManifest.from_json(store.manifest.to_json())
@@ -240,8 +273,3 @@ class TestByClass:
         )
         assert total == store.size("test")
 
-
-def test_checksum_is_sha256():
-    assert payload_checksum(b"") == (
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    )

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pcnn import comparator, pairsampler
+from pcnn import comparator, experiment, pairsampler
 from pcnn.classifier import SyntheticClassifier
 from pcnn.experiment import (
     ExperimentConfig,
@@ -175,6 +175,11 @@ class TestPipeline:
         ("rerank", {"k": 3, "mode": "hard"}, "evaluation"),
         ("train", {"warmup_fraction": 1.0}, "training"),
         ("train", {"warmup_fraction": -0.1}, "training"),
+        ("comparator", {"mlp_hidden": 0}, "training"),
+        ("comparator", {"heads": 0}, "training"),
+        ("comparator", {"jitter_sigma": -1}, "training"),
+        ("train", {"momentum": -1}, "training"),
+        ("train", {"max_lr": float("nan"), "epochs": 1}, "training"),
     ])
     def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
                                                        section, bad, stage):
@@ -188,6 +193,14 @@ class TestPipeline:
         assert info.value.stage == stage
         with pytest.raises(StageError, match=stage):
             prepare(cfg, 1)
+
+    def test_model_build_failure_names_training(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(experiment, "ComparatorModel", broken)
+        with pytest.raises(StageError, match="training"):
+            train_comparator(prepare(tiny_cfg(tmp_path), 1))
 
     def test_subsample_shrinks_index(self, tmp_path):
         cfg = tiny_cfg(tmp_path, subsample_fraction=0.5, sampler={"q": 2})

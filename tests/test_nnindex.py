@@ -216,7 +216,7 @@ def test_sqdist_many_matches_direct_form(store_index):
     assert np.all(np.diag(direct[6:]) == 0.0)
 
 
-def test_nearest_k_many_matches_direct_ranking():
+def test_nearest_matches_direct_ranking():
     """The batched path returns the direct-form (distance, id) ranking, with
     exact ties from duplicated vectors and a per-query excluded id."""
     from pcnn import kernels
@@ -234,12 +234,64 @@ def test_nearest_k_many_matches_direct_ranking():
         cls_ids = index._ids[bounds[cid]:bounds[cid + 1]]
         cls_vecs = index._vecs[bounds[cid]:bounds[cid + 1]]
         exclude = cls_ids[rng.integers(0, len(cls_ids), size=len(queries))]
+        classes = np.full(len(queries), cid)
         for k in range(1, len(cls_ids)):
-            got = index.nearest_k_many(queries, cid, k, exclude=exclude)
+            got = index.nearest(queries, classes, k, exclude=exclude)
             for q, skip, row in zip(queries, exclude, got):
                 keep = cls_ids != skip
                 dist = kernels.sqdist_one(q, cls_vecs[keep])
                 want = cls_ids[keep][np.lexsort((cls_ids[keep], dist))][:k]
                 assert list(row) == list(want)
         with pytest.raises(InsufficientCandidatesError):
-            index.nearest_k_many(queries, cid, len(cls_ids), exclude=exclude)
+            index.nearest(queries, classes, len(cls_ids), exclude=exclude)
+
+
+def tied_sparse_store():
+    """A store with sparse, shuffled ids in which every train grid has an
+    exact twin of the same class, so retrieval meets exact distance ties."""
+    base, _ = toy_store(classes=4, per_class=8, seed=6, sparse_ids=True)
+    grids = base.grids("train").copy()
+    grids[1::2] = grids[0::2]  # rows 2i and 2i + 1 hold one class each
+    records = {s: list(zip(base.ids(s).tolist(), base.labels(s).tolist()))
+               for s in ("train", "test")}
+    return build_store("ties", base.manifest.class_names, records,
+                       {"train": grids, "test": base.grids("test")})
+
+
+def test_nearest_mixed_classes_equal_per_class_retrieval():
+    """One call whose rows ask for different classes equals
+    `nearest_k_in_class` row by row, each train query skipping itself."""
+    store = tied_sparse_store()
+    index = ClassIndex.build(store)
+    rng = np.random.default_rng(8)
+    for split in ("train", "test"):
+        queries, ids = store.pooled_all(split), store.ids(split)
+        classes = rng.integers(0, 4, size=len(ids))
+        exclude = ids if split == "train" else None
+        got = index.nearest(queries, classes, 5, exclude)
+        assert got.shape == (len(ids), 5)
+        for q, c, qid, row in zip(queries, classes, ids, got):
+            skip = {int(qid)} if split == "train" else ()
+            want = [i for i, _ in index.nearest_k_in_class(q, int(c), 5, exclude=skip)]
+            assert row.tolist() == want
+        if split == "train":  # a train query's twin is its nearest positive
+            same = classes == store.labels("train")
+            twin = ids[np.arange(len(ids)) ^ 1]
+            np.testing.assert_array_equal(got[same, 0], twin[same])
+
+
+def test_nearest_names_the_class_too_small():
+    store, _ = toy_store(classes=3, per_class=4, seed=2)
+    keep = [(r, c) for r, c in store.manifest.records["train"] if c != 1 or r % 4 < 2]
+    small = build_store(
+        "toy", store.manifest.class_names,
+        {"train": keep, "test": store.manifest.records["test"]},
+        {"train": store.grids("train")[store.rows("train", [r for r, _ in keep])],
+         "test": store.grids("test")},
+    )
+    index = ClassIndex.build(small)
+    assert [index.class_size(c) for c in index.classes] == [4, 2, 4]
+    queries = small.pooled_all("test")[:3]
+    assert index.nearest(queries, [0, 1, 2], 2).shape == (3, 2)
+    with pytest.raises(InsufficientCandidatesError, match="class 1"):
+        index.nearest(queries, [0, 1, 2], 3)
