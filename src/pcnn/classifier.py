@@ -143,12 +143,20 @@ def save_outputs(output, matrix_path, sidecar_path):
 def load_precomputed(matrix_path, sidecar_path):
     """Load what `save_outputs` wrote. The dtype, byte length, sha256 and id
     count are checked against the sidecar and every row is validated; a
-    failure raises ValidationError naming the file."""
-    with open(sidecar_path) as fh:
-        side = json.load(fh)
+    failure, a sidecar that is not JSON or lacks its split, ids or classes
+    included, raises ValidationError naming the file."""
+    try:
+        with open(sidecar_path) as fh:
+            side = json.load(fh)
+        split, ids, c = side["split"], side["ids"], side["classes"]
+        if not (isinstance(split, str) and isinstance(ids, list) and type(c) is int
+                and all(type(i) is int for i in ids)):
+            raise TypeError("split must be a string, ids a list of ints, classes an int")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{sidecar_path}: malformed sidecar ({exc!r})") from exc
     with open(matrix_path, "rb") as fh:
         blob = fh.read()
-    n, c = len(side["ids"]), int(side["classes"])
+    n = len(ids)
     if side.get("dtype") != MATRIX_DTYPE:
         raise ValidationError(f"{sidecar_path}: dtype {side.get('dtype')!r}, "
                               f"expected {MATRIX_DTYPE!r}")
@@ -158,6 +166,6 @@ def load_precomputed(matrix_path, sidecar_path):
     check_blob(blob, n * c * 8, side.get("sha256"), matrix_path, ValidationError)
     probs = np.frombuffer(blob, dtype=MATRIX_DTYPE).reshape(n, c).astype(np.float64)
     try:
-        return ClassifierOutput(side["split"], side["ids"], probs).validate()
+        return ClassifierOutput(split, ids, probs).validate()
     except ValidationError as exc:
         raise ValidationError(f"{matrix_path}: {exc}") from exc

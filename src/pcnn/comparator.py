@@ -367,8 +367,7 @@ def score_pairset(model, store, pairset, batch_size=256):
 
 def evaluate_binary(model, store, pairset, threshold=0.5, batch_size=256):
     scores = score_pairset(model, store, pairset, batch_size)
-    labels = np.array([p.label for p in pairset.pairs])
-    return metrics_from_scores(scores, labels, threshold)
+    return metrics_from_scores(scores, pairset.pairs.label, threshold)
 
 
 # ------------------------------------------------------------- training
@@ -426,16 +425,16 @@ def one_cycle_lr(step, total_steps, cfg):
 
 def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
     """Momentum-SGD training; returns the best-F1 checkpoint and a report."""
-    if len(train_pairs.pairs) < 2 or not eval_pairs.pairs:
+    if len(train_pairs) < 2 or not len(eval_pairs):
         raise ValueError("need >= 2 train pairs (batch norm) and >= 1 eval pair")
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     velocity = {name: np.zeros_like(t.data) for name, t in params}
 
-    n = len(train_pairs.pairs)
+    n = len(train_pairs)
     rows1, rows2 = pairset_rows(store, train_pairs)
     grids1, grids2 = store.grids(train_pairs.split), store.grids("train")
-    labels_all = np.array([p.label for p in train_pairs.pairs], dtype=np.float64)
+    labels_all = train_pairs.pairs.label.astype(np.float64)
 
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch

@@ -67,9 +67,10 @@ class DatasetManifest:
 
 
 class EmbeddingStore:
-    """Immutable after import; pooled vectors and labels are always derived."""
+    """Immutable after import; pooled vectors and labels are always derived.
+    A manifest fault raises an IngestionError naming the manifest file `where`."""
 
-    def __init__(self, manifest, grids):
+    def __init__(self, manifest, grids, where="manifest"):
         self.manifest = manifest
         self._grids = grids  # split -> (N, T, D) float64
         # split -> (N, D) token means; scorers and retrieval index them per call
@@ -87,7 +88,12 @@ class EmbeddingStore:
             ascending = self._ids[split][order]
             dup = ascending[1:][ascending[1:] == ascending[:-1]]
             if len(dup):
-                raise IngestionError(f"duplicate record id {dup[0]} in split {split}")
+                raise IngestionError(f"{where}: duplicate record id {dup[0]} in split {split}")
+            labels = self._labels[split]
+            bad = ((labels < 0) | (labels >= manifest.num_classes)).nonzero()[0]
+            if len(bad):
+                raise IngestionError(f"{where}: unknown class id {labels[bad[0]]} for record "
+                                     f"{self._ids[split][bad[0]]} in split {split}")
 
     # ---- queries -------------------------------------------------------
 
@@ -137,22 +143,19 @@ class EmbeddingStore:
     # ---- ingest / export ----------------------------------------------
 
     @staticmethod
-    def from_payload(manifest, payload, where="payload"):
-        """The store of a manifest and its payload bytes (from the file `where`)."""
+    def from_payload(manifest, payload, where="payload", manifest_where="manifest"):
+        """The store of a manifest and its payload bytes (from the files
+        `manifest_where` and `where`)."""
         t, d = manifest.tokens, manifest.depth
         n_train = len(manifest.records["train"])
         n = n_train + len(manifest.records["test"])
         check_blob(payload, n * t * d * 4, manifest.checksum, where, IngestionError)
-        for split in SPLITS:
-            for rid, cid in manifest.records[split]:
-                if cid < 0 or cid >= manifest.num_classes:
-                    raise IngestionError(f"unknown class id {cid} for record {rid}")
         flat = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, t, d)
         grids = dict(zip(SPLITS, np.split(flat, [n_train])))
         for split, block in grids.items():
             if not np.isfinite(block).all():
                 raise IngestionError(f"{where}: non-finite value in split {split}")
-        return EmbeddingStore(manifest, grids)
+        return EmbeddingStore(manifest, grids, manifest_where)
 
     @staticmethod
     def load(manifest_path, payload_path):
@@ -163,7 +166,7 @@ class EmbeddingStore:
                 raise IngestionError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
         with open(payload_path, "rb") as fh:
             payload = fh.read()
-        return EmbeddingStore.from_payload(manifest, payload, payload_path)
+        return EmbeddingStore.from_payload(manifest, payload, payload_path, manifest_path)
 
     def export_payload(self):
         parts = [self._grids[s].astype("<f4").tobytes() for s in SPLITS]

@@ -243,9 +243,13 @@ def train_step(pipe, out):
 
 
 def eval_step(pipe, model):
-    """Binary pair metrics of the model on the eval pairs."""
+    """Binary pair metrics of the model on the eval pairs, as a JSON document:
+    an empty confusion cell's mean confidence (NaN) is None."""
     with _stage("evaluation"):
-        return asdict(comparator.evaluate_binary(model, pipe.store, pipe.eval_pairs))
+        doc = asdict(comparator.evaluate_binary(model, pipe.store, pipe.eval_pairs))
+    doc["mean_confidence"] = {cell: None if np.isnan(v) else v
+                              for cell, v in doc["mean_confidence"].items()}
+    return doc
 
 
 def rerank_step(pipe, model, out):

@@ -12,7 +12,7 @@ and are trimmed (seeded) to an exact 50/50 label balance.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .classifier import top_q
 
 POSITIVE = 1
 NEGATIVE = 0
+PAIR_FIELDS = ("query_id", "neighbor_id", "label", "source_class", "nn_rank")
 
 
 @dataclass
@@ -39,37 +40,32 @@ class SamplerConfig:
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
 
 
-@dataclass
-class PairSample:
-    query_id: int
-    neighbor_id: int
-    label: int
-    source_class: int
-    nn_rank: int
+def pair_array(*columns):
+    """The pairs of one column per `PAIR_FIELDS` entry, as an int64 record array."""
+    return np.rec.fromarrays(columns, dtype=[(name, np.int64) for name in PAIR_FIELDS])
 
 
 @dataclass
 class PairSet:
     split: str
     config: SamplerConfig
-    pairs: list
+    pairs: np.recarray  # `pair_array` records: `pairs.label` a column, `pairs[0]` a record
     gt_in_topq: dict = field(default_factory=dict)  # query id -> bool
 
     def __len__(self):
         return len(self.pairs)
 
     def positives(self):
-        return [p for p in self.pairs if p.label == POSITIVE]
+        return self.pairs[self.pairs.label == POSITIVE]
 
     def negatives(self):
-        return [p for p in self.pairs if p.label == NEGATIVE]
+        return self.pairs[self.pairs.label == NEGATIVE]
 
 
 def pairset_rows(store, pairset):
     """Store rows of each pair's query and neighbour grids."""
-    rows1 = store.rows(pairset.split, [p.query_id for p in pairset.pairs])
-    rows2 = store.rows("train", [p.neighbor_id for p in pairset.pairs])
-    return rows1, rows2
+    return (store.rows(pairset.split, pairset.pairs.query_id),
+            store.rows("train", pairset.pairs.neighbor_id))
 
 
 def _negatives(config, classes, gts, in_topq, qids, num_classes):
@@ -114,7 +110,7 @@ def _sample(store, output, index, config, split):
         np.concatenate([np.tile(np.arange(1, q + 1), n),
                         np.full(len(negatives), config.nn_rank)]),
     )
-    pairs = list(map(PairSample, *(c[order].tolist() for c in columns)))
+    pairs = pair_array(*(c[order] for c in columns))
     return PairSet(split, config, pairs, dict(zip(ids.tolist(), in_topq.tolist())))
 
 
@@ -134,17 +130,15 @@ def sample_eval(store, output, index, config):
     grids1, grids2 = store.grids("test")[rows1[at]], store.grids("train")[rows2[at]]
     dup[at] = (grids1 == grids2).all(axis=(1, 2))
     keep = ~dup
-    label = np.array([p.label for p in pairset.pairs], dtype=np.int64)
-    pos = (keep & (label == POSITIVE)).nonzero()[0]
-    neg = (keep & (label == NEGATIVE)).nonzero()[0]
+    pos = (keep & (pairset.pairs.label == POSITIVE)).nonzero()[0]
+    neg = (keep & (pairset.pairs.label == NEGATIVE)).nonzero()[0]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBA1A]))
     target = min(len(pos), len(neg))
     # the construction can leave either side in excess; trim the larger one
     for side in (pos, neg):
         if len(side) > target:
             keep[side[rng.choice(len(side), size=len(side) - target, replace=False)]] = False
-    balanced = [p for p, k in zip(pairset.pairs, keep.tolist()) if k]
-    return PairSet("test", config, balanced, pairset.gt_in_topq)
+    return PairSet("test", config, pairset.pairs[keep], pairset.gt_in_topq)
 
 
 @dataclass
@@ -160,9 +154,8 @@ class AuditReport:
 
 def pair_count_audit(pairset, query_ids, q):
     """Check total pairs == sum over queries of (2Q-1 if gt in top-Q else 2Q)."""
-    per_query = {}
-    for p in pairset.pairs:
-        per_query[p.query_id] = per_query.get(p.query_id, 0) + 1
+    seen, counts = np.unique(pairset.pairs.query_id, return_counts=True)
+    per_query = dict(zip(seen.tolist(), counts.tolist()))
     expected = 0
     violations = []
     for qid in query_ids:
@@ -171,7 +164,7 @@ def pair_count_audit(pairset, query_ids, q):
         got = per_query.get(qid, 0)
         if got != want:
             violations.append({"query": int(qid), "expected": want, "actual": got})
-    return AuditReport(expected=expected, actual=len(pairset.pairs), violations=violations)
+    return AuditReport(expected=expected, actual=len(pairset), violations=violations)
 
 
 # --------------------------------------------------------------- jsonl io
@@ -181,31 +174,18 @@ def save_pairs(pairset, path):
     with atomic_open(path) as fh:
         header = {
             "split": pairset.split,
-            "q": pairset.config.q,
-            "nn_rank": pairset.config.nn_rank,
-            "negative_mode": pairset.config.negative_mode,
-            "seed": pairset.config.seed,
+            **asdict(pairset.config),
             "gt_in_topq": {str(k): bool(v) for k, v in pairset.gt_in_topq.items()},
         }
         fh.write(json.dumps(header) + "\n")
-        for p in pairset.pairs:
-            fh.write(
-                json.dumps(
-                    [p.query_id, p.neighbor_id, p.label, p.source_class, p.nn_rank]
-                )
-                + "\n"
-            )
+        fh.writelines(json.dumps(row) + "\n" for row in pairset.pairs.tolist())
 
 
 def load_pairs(path):
     with open(path) as fh:
         header = json.loads(fh.readline())
-        pairs = [PairSample(*json.loads(line)) for line in fh if line.strip()]
-    config = SamplerConfig(
-        q=header["q"],
-        nn_rank=header["nn_rank"],
-        negative_mode=header["negative_mode"],
-        seed=header["seed"],
-    )
+        rows = [json.loads(line) for line in fh if line.strip()]
+    config = SamplerConfig(**{f.name: header[f.name] for f in fields(SamplerConfig)})
     flags = {int(k): v for k, v in header["gt_in_topq"].items()}
-    return PairSet(header["split"], config, pairs, flags)
+    columns = np.array(rows, dtype=np.int64).reshape(-1, len(PAIR_FIELDS)).T
+    return PairSet(header["split"], config, pair_array(*columns), flags)

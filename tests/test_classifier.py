@@ -1,4 +1,5 @@
 import json
+import re
 import zlib
 
 import numpy as np
@@ -218,6 +219,29 @@ class TestPrecomputed:
         side[key] = value
         sidecar.write_text(json.dumps(side))
         with pytest.raises(ValidationError, match=str(sidecar)):
+            load_precomputed(matrix, sidecar)
+
+    @pytest.mark.parametrize("edit", [
+        lambda side: side.pop("split"),
+        lambda side: side.pop("ids"),
+        lambda side: side.pop("classes"),
+        lambda side: side.update(ids="0123"),
+        lambda side: side.update(ids=[0, "1"]),
+        lambda side: side.update(classes="4"),
+        lambda side: side.update(split=None),
+        None,  # truncated JSON
+    ], ids=["no-split", "no-ids", "no-classes", "ids-str", "id-str", "classes-str",
+            "split-null", "truncated"])
+    def test_malformed_sidecar_names_the_sidecar(self, saved, edit):
+        _, matrix, sidecar = saved
+        if edit is None:
+            sidecar.write_text(sidecar.read_text()[:40])
+        else:
+            side = json.loads(sidecar.read_text())
+            edit(side)
+            sidecar.write_text(json.dumps(side))
+        message = f"^{re.escape(str(sidecar))}: malformed sidecar"
+        with pytest.raises(ValidationError, match=message):
             load_precomputed(matrix, sidecar)
 
     def test_negative_probability_rejected(self):

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import json
+import re
 
 import numpy as np
 import pytest
@@ -76,11 +77,10 @@ def test_sparse_shuffled_ids_are_looked_up_by_id():
     for split, sample in (("train", sample_train), ("test", sample_eval)):
         want = sample(dense, outputs[split], dense_index, cfg)
         got = sample(store, moved[split], index, cfg)
-        assert got.pairs == [
-            replace(p, query_id=int(relabel[split][p.query_id]),
-                    neighbor_id=int(relabel["train"][p.neighbor_id]))
-            for p in want.pairs
-        ]
+        relabeled = want.pairs.copy()
+        relabeled.query_id = relabel[split][want.pairs.query_id]
+        relabeled.neighbor_id = relabel["train"][want.pairs.neighbor_id]
+        assert got.pairs.tolist() == relabeled.tolist()
         assert got.gt_in_topq == {int(relabel[split][q]): hit
                                   for q, hit in want.gt_in_topq.items()}
 
@@ -186,6 +186,19 @@ class TestLoadNamesTheFile:
         manifest, payload = saved
         manifest.write_text(text)
         with pytest.raises(IngestionError, match=f"{manifest}: malformed manifest"):
+            EmbeddingStore.load(manifest, payload)
+
+    @pytest.mark.parametrize("split, row, column, value, message", [
+        ("train", 0, 1, 99, "unknown class id 99 for record 0 in split train"),
+        ("test", 3, 0, 5, "duplicate record id 5 in split test"),
+    ])
+    def test_manifest_fault_names_the_manifest(self, saved, split, row, column, value,
+                                               message):
+        manifest, payload = saved
+        doc = json.loads(manifest.read_text())
+        doc["records"][split][row][column] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(manifest))}: {message}$"):
             EmbeddingStore.load(manifest, payload)
 
 

@@ -127,6 +127,17 @@ class TestPipeline:
         pipe = prepare(tiny_cfg(tmp_path), 1)
         assert len(pipe.eval_pairs.positives()) == len(pipe.eval_pairs.negatives())
 
+    def test_eval_step_writes_empty_cells_as_null(self, tmp_path):
+        # the last layer starts at zero, so an untrained model scores every
+        # pair exactly 0.5, a reject: both accept cells are empty
+        pipe = prepare(tiny_cfg(tmp_path), 1)
+        doc = experiment.eval_step(pipe, comparator.ComparatorModel(pipe.comparator_cfg))
+        json.dumps(doc, allow_nan=False)
+        assert doc["confusion"]["tp"] == doc["confusion"]["fp"] == 0
+        assert doc["mean_confidence"]["correctly_accept"] is None
+        assert doc["mean_confidence"]["incorrectly_accept"] is None
+        assert doc["mean_confidence"]["correctly_reject"] == 0.5
+
     def test_stage_error_names_stage(self, tmp_path):
         cfg = tiny_cfg(tmp_path, sampler={"q": 50})  # classes too small for 50 positives
         with pytest.raises(StageError, match="sampling"):

@@ -7,9 +7,13 @@ from pcnn.embedstore import build_store
 from pcnn.nnindex import ClassIndex, InsufficientCandidatesError
 from pcnn.pairsampler import (
     NEGATIVE,
+    PAIR_FIELDS,
     POSITIVE,
+    AuditReport,
+    PairSet,
     SamplerConfig,
     load_pairs,
+    pair_array,
     pair_count_audit,
     sample_eval,
     sample_train,
@@ -27,6 +31,22 @@ def pipeline():
     out_train = clf.predict_split(store, "train")
     out_test = clf.predict_split(store, "test")
     return store, index, out_train, out_test
+
+
+def reference_audit(pairset, query_ids, q):
+    """Per-pair dict count of `pair_count_audit`."""
+    per_query = {}
+    for p in pairset.pairs:
+        per_query[p.query_id] = per_query.get(p.query_id, 0) + 1
+    expected = 0
+    violations = []
+    for qid in query_ids:
+        want = 2 * q - 1 if pairset.gt_in_topq.get(qid, False) else 2 * q
+        expected += want
+        got = per_query.get(qid, 0)
+        if got != want:
+            violations.append({"query": int(qid), "expected": want, "actual": got})
+    return AuditReport(expected=expected, actual=len(pairset.pairs), violations=violations)
 
 
 class TestTrainSampling:
@@ -51,10 +71,30 @@ class TestTrainSampling:
         store, index, out_train, _ = pipeline
         cfg = SamplerConfig(q=3, seed=0)
         pairs = sample_train(store, out_train, index, cfg)
-        pairs.pairs.pop()
+        pairs.pairs = pairs.pairs[:-1]
         report = pair_count_audit(pairs, store.ids("train"), cfg.q)
         assert not report.ok
         assert len(report.violations) == 1
+
+    @pytest.mark.parametrize("edit", ["none", "drop", "duplicate", "stranger", "empty"])
+    def test_audit_matches_dict_count_reference(self, pipeline, edit):
+        store, index, out_train, _ = pipeline
+        cfg = SamplerConfig(q=3, seed=0)
+        pairs = sample_train(store, out_train, index, cfg)
+        n = len(pairs)
+        if edit == "drop":
+            pairs.pairs = pairs.pairs[np.arange(n) != 7]
+        elif edit == "duplicate":
+            pairs.pairs = pairs.pairs[np.r_[0:n, 4]]
+        elif edit == "stranger":  # a pair whose query is not audited
+            pairs.pairs = pairs.pairs[np.r_[0:n, 0]]
+            pairs.pairs.query_id[-1] = store.ids("train").max() + 1
+        elif edit == "empty":
+            pairs.pairs = pairs.pairs[:0]
+        report = pair_count_audit(pairs, store.ids("train"), cfg.q)
+        assert report == reference_audit(pairs, store.ids("train"), cfg.q)
+        assert report.ok == (edit == "none")
+        assert all(type(v) is int for bad in report.violations for v in bad.values())
 
     def test_positives_are_same_class_and_exclude_self(self, pipeline):
         store, index, out_train, _ = pipeline
@@ -329,6 +369,16 @@ def test_jsonl_roundtrip(pipeline, tmp_path):
         (p.query_id, p.neighbor_id, p.label, p.source_class, p.nn_rank)
         for p in pairs.pairs
     ]
+
+
+def test_empty_jsonl_roundtrip(tmp_path):
+    empty = PairSet("test", SamplerConfig(q=3, seed=5), pair_array(*[[]] * len(PAIR_FIELDS)))
+    save_pairs(empty, tmp_path / "pairs.jsonl")
+    loaded = load_pairs(tmp_path / "pairs.jsonl")
+    assert isinstance(loaded.pairs, np.recarray) and len(loaded) == 0
+    assert loaded.pairs.dtype.names == PAIR_FIELDS
+    assert all(loaded.pairs[name].dtype == np.int64 for name in PAIR_FIELDS)
+    assert loaded.config == empty.config and loaded.gt_in_topq == {}
 
 
 def test_config_validation():

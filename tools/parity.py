@@ -17,11 +17,12 @@ directory:
 
 Configs use paths relative to that directory, so their bytes match across
 trees. The two directories are compared byte for byte and one JSON report
-is printed: the files compared, the identical count, and each differing or
-missing file with its first differing line. The exit code is 1 when a file
-differs or is missing and `--expect-diff` (paths relative to the output
-directory, e.g. `c10/seed_7/checkpoint.bin`) does not list it, 2 when a
-tree cannot run the shapes, and 0 otherwise.
+is printed: the files compared, the identical count, each differing or
+missing file with its first differing line, and `src_diff`, the
+`git diff --shortstat REV -- src` line that gives the size of the change.
+The exit code is 1 when a file differs or is missing and `--expect-diff`
+(paths relative to the output directory, e.g. `c10/seed_7/checkpoint.bin`)
+does not list it, 2 when a tree cannot run the shapes, and 0 otherwise.
 """
 
 import argparse
@@ -195,8 +196,10 @@ def main(argv=None):
         subprocess.run([*git, "worktree", "remove", "--force", str(theirs)],
                        check=True, capture_output=True)
     report = compare_trees(work / "out_ours", work / "out_theirs", args.expect_diff)
-    print(json.dumps({"against": args.against, "commit": commit,
-                      "outputs": str(work), **report}, indent=2))
+    src_diff = subprocess.run([*git, "diff", "--shortstat", commit, "--", "src"],
+                              check=True, capture_output=True, text=True).stdout.strip()
+    print(json.dumps({"against": args.against, "commit": commit, "outputs": str(work),
+                      "src_diff": src_diff, **report}, indent=2))
     return 1 if report["unexpected"] else 0
 
 
