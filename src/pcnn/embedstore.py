@@ -10,7 +10,7 @@ pooled vectors, labels, ids); `rows` is the one map from record ids to rows.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,17 +41,8 @@ class DatasetManifest:
         return len(self.class_names)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "dataset": self.dataset,
-                "class_names": self.class_names,
-                "tokens": self.tokens,
-                "depth": self.depth,
-                "records": self.records,
-                "checksum": self.checksum,
-            },
-            indent=2,
-        )
+        # the fields in order, not `asdict`, which deep-copies every record
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
     @staticmethod
     def from_json(text):
@@ -123,7 +114,8 @@ class EmbeddingStore:
         return order[np.searchsorted(ids, want, sorter=order)]
 
     def pooled(self, split, record_id):
-        return self.grid(split, record_id).mean(axis=0)
+        """The record's read-only row of `pooled_all(split)`."""
+        return self._pooled[split][self.rows(split, [record_id])[0]]
 
     def pooled_all(self, split):
         return self._pooled[split]
@@ -169,11 +161,15 @@ class EmbeddingStore:
         return EmbeddingStore.from_payload(manifest, payload, payload_path, manifest_path)
 
     def export_payload(self):
-        parts = [self._grids[s].astype("<f4").tobytes() for s in SPLITS]
-        return b"".join(parts)
+        return _payload(self._grids)
 
     def save(self, manifest_path, payload_path):
         write_blob(payload_path, self.export_payload(), manifest_path, self.manifest.to_json())
+
+
+def _payload(grids):
+    """The payload bytes of split -> (N, T, D) grids, in the layout above."""
+    return b"".join(grids[s].astype("<f4").tobytes() for s in SPLITS)
 
 
 def build_store(dataset, class_names, records, grids_by_split):
@@ -188,7 +184,7 @@ def build_store(dataset, class_names, records, grids_by_split):
         s: np.ascontiguousarray(np.asarray(grids_by_split[s], dtype=np.float64).reshape(-1, t, d))
         for s in SPLITS
     }
-    payload = b"".join(grids[s].astype("<f4").tobytes() for s in SPLITS)
+    payload = _payload(grids)
     manifest = DatasetManifest(
         dataset=dataset,
         class_names=list(class_names),

@@ -22,7 +22,7 @@ from .atomicio import atomic_open
 from .classifier import SyntheticClassifier
 from .comparator import ComparatorConfig, ComparatorModel, TrainConfig
 from .embedstore import EmbeddingStore
-from .nnindex import ClassIndex
+from .nnindex import ClassIndex, kept_per_class
 from .pairsampler import SamplerConfig
 from .reranker import ModelScorer, RerankConfig
 from .synthgen import SyntheticSpec, synth_gen
@@ -77,21 +77,18 @@ class ExperimentConfig:
 
 
 def _build_data(cfg, seed):
-    if cfg.manifest_path:
-        store = EmbeddingStore.load(cfg.manifest_path, cfg.payload_path)
-        spec = SyntheticSpec(**cfg.synthetic) if cfg.synthetic else SyntheticSpec()
-        centroids = None
-    else:
-        spec = SyntheticSpec(**cfg.synthetic)
+    spec = SyntheticSpec(**cfg.synthetic)
+    if not cfg.manifest_path:
         store, centroids = synth_gen(spec, seed)
-    if centroids is None:
-        # frozen-classifier files are a secondary concern; fall back to
-        # class-mean centroids over the train split
-        labels = store.labels("train")
-        pooled = store.pooled_all("train")
-        centroids = np.stack(
-            [pooled[labels == c].mean(axis=0) for c in range(store.manifest.num_classes)]
-        )
+        return store, centroids, spec
+    store = EmbeddingStore.load(cfg.manifest_path, cfg.payload_path)
+    # frozen-classifier files are a secondary concern; fall back to
+    # class-mean centroids over the train split
+    labels = store.labels("train")
+    pooled = store.pooled_all("train")
+    centroids = np.stack(
+        [pooled[labels == c].mean(axis=0) for c in range(store.manifest.num_classes)]
+    )
     return store, centroids, spec
 
 
@@ -101,7 +98,8 @@ class Pipeline:
     The data stage (`store`, `centroids`, `spec`) loads at construction,
     and the sampler, comparator, training and re-rank configs are built
     then too, so a bad config section fails, as StageError naming the stage
-    that reads it, before any stage runs;
+    that reads it, before any stage runs (a class with fewer indexed train
+    records than `n_neighbors` fails as "evaluation");
     `index`, `classifier`, `out_train`, `out_test`, `train_pairs` and
     `eval_pairs` are each built on first read and then kept, so a caller
     pays only for the stages it reads. Every stage is seeded per record or
@@ -123,6 +121,13 @@ class Pipeline:
             self.train_cfg = TrainConfig(**{"seed": seed, **cfg.train})
         with _stage("evaluation"):
             self.rerank_cfg = RerankConfig(**cfg.rerank)
+            sizes = np.bincount(self.store.labels("train"), minlength=manifest.num_classes)
+            kept = kept_per_class(sizes, cfg.subsample_fraction)
+            need = self.rerank_cfg.n_neighbors
+            short = (kept < need).nonzero()[0]
+            if len(short):
+                raise ValueError(f"class {short[0]}: n_neighbors {need} exceeds its "
+                                 f"{kept[short[0]]} indexed train records")
 
     @cached_property
     def index(self):

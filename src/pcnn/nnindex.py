@@ -20,6 +20,12 @@ class InsufficientCandidatesError(ValueError):
     pass
 
 
+def kept_per_class(sizes, fraction):
+    """Records each class of `sizes` keeps in `ClassIndex.subsample(fraction)`:
+    ceil(fraction * size)."""
+    return np.ceil(fraction * np.asarray(sizes)).astype(np.int64)
+
+
 class ClassIndex:
     def __init__(self, vectors, ids, bounds):
         """vectors: (N, D) rows ordered by (class, id); ids: (N,) record ids;
@@ -58,19 +64,17 @@ class ClassIndex:
         return hi - lo
 
     def subsample(self, fraction, seed):
-        """Keep ceil(fraction * size) records per class, seeded uniform."""
+        """Keep `kept_per_class` records of each class, seeded uniform."""
         if not 0 < fraction <= 1:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        kept, bounds = [], [0]
+        sizes = np.diff(self._bounds)
+        keep = kept_per_class(sizes, fraction)
+        kept = []
         for cid in self.classes:
-            lo, hi = self._rows(cid)
-            n = hi - lo
-            keep = int(np.ceil(fraction * n))
             rng = np.random.default_rng(np.random.SeedSequence([seed, cid]))
-            kept.append(lo + np.sort(rng.choice(n, size=keep, replace=False)))
-            bounds.append(bounds[-1] + keep)
+            kept.append(self._bounds[cid] + np.sort(rng.choice(sizes[cid], keep[cid], replace=False)))
         rows = np.concatenate(kept)
-        return ClassIndex(self._vecs[rows], self._ids[rows], bounds)
+        return ClassIndex(self._vecs[rows], self._ids[rows], np.concatenate([[0], np.cumsum(keep)]))
 
     def _nearest(self, queries, class_id, k, skip_q=(), skip_c=()):
         """The k nearest rows lo:hi = `_rows(class_id)` for each query row by

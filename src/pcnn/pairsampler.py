@@ -55,6 +55,14 @@ class PairSet:
     def __len__(self):
         return len(self.pairs)
 
+    def __eq__(self, other):
+        """Equal fields, the pairs compared by value."""
+        if not isinstance(other, PairSet):
+            return NotImplemented
+        return ((self.split, self.config, self.gt_in_topq)
+                == (other.split, other.config, other.gt_in_topq)
+                and np.array_equal(self.pairs, other.pairs))
+
     def positives(self):
         return self.pairs[self.pairs.label == POSITIVE]
 

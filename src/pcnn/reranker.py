@@ -35,6 +35,9 @@ class RerankConfig:
             raise ValueError("probability floor must be in [0, 1)")
 
 
+_TABLE_ARRAYS = ("query_ids", "classes", "probs", "wanted", "neighbors", "s_scores")
+
+
 @dataclass(frozen=True)
 class RerankTable:
     """Re-ranking of one split, in store order: row i is query query_ids[i],
@@ -56,8 +59,15 @@ class RerankTable:
     def __post_init__(self):
         if self.mode not in ("soft", "hard"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("query_ids", "classes", "probs", "wanted", "neighbors", "s_scores"):
+        for name in _TABLE_ARRAYS:
             getattr(self, name).flags.writeable = False
+
+    def __eq__(self, other):
+        """Equal mode, the arrays compared by value."""
+        if not isinstance(other, RerankTable):
+            return NotImplemented
+        return self.mode == other.mode and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _TABLE_ARRAYS)
 
     def __len__(self):
         return len(self.query_ids)

@@ -4,8 +4,14 @@ Class centroids are grouped: group centers sit far apart, centroids within
 a group sit just above the requested separation. That makes some class
 pairs genuinely confusable (hard negatives differ from random ones) while
 keeping every pairwise centroid distance >= s.
+
+Records are class-major within a split and their ids are their row numbers;
+each split's token noise is one draw, so record i's grid is the i-th
+(T, D) block of one seeded stream.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +35,22 @@ class SyntheticSpec:
     corruption_q: int = 2  # swap partner drawn from the top-Q of this Q
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.groups < 1 or self.groups > self.classes:
+        for name, low in (("classes", 2), ("depth", 1), ("tokens", 1),
+                          ("train_per_class", 1), ("test_per_class", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if not 1 <= self.groups <= self.classes:
             raise ValueError("groups must be in 1..classes")
-        if self.separation <= 0:
-            raise ValueError("separation must be positive")
+        for name in ("separation", "group_spread"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0 <= self.token_noise < math.inf:
+            raise ValueError("token_noise must be finite and >= 0")
+
+
+def _min_distance(points):
+    """Smallest L2 distance between two rows of `points`."""
+    return min(float(np.linalg.norm(a - b)) for a, b in itertools.combinations(points, 2))
 
 
 def _spread_points(rng, n, d, min_dist):
@@ -42,11 +58,7 @@ def _spread_points(rng, n, d, min_dist):
     pts = rng.normal(size=(n, d))
     if n == 1:
         return pts
-    dmin = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            dmin = min(dmin, float(np.linalg.norm(pts[i] - pts[j])))
-    return pts * (min_dist / dmin)
+    return pts * (min_dist / _min_distance(pts))
 
 
 def make_centroids(spec, seed):
@@ -54,18 +66,13 @@ def make_centroids(spec, seed):
     group_centers = _spread_points(
         rng, spec.groups, spec.depth, spec.separation * spec.group_spread
     )
-    sizes = [len(a) for a in np.array_split(np.arange(spec.classes), spec.groups)]
-    centroids = np.empty((spec.classes, spec.depth))
-    k = 0
-    for g, size in enumerate(sizes):
-        offsets = _spread_points(rng, size, spec.depth, spec.separation * 1.2)
-        centroids[k : k + size] = group_centers[g] + offsets
-        k += size
+    groups = np.array_split(np.arange(spec.classes), spec.groups)
+    centroids = np.concatenate([
+        center + _spread_points(rng, len(group), spec.depth, spec.separation * 1.2)
+        for center, group in zip(group_centers, groups)
+    ])
     # enforce the global guarantee: min pairwise distance >= separation
-    dmin = np.inf
-    for i in range(spec.classes):
-        for j in range(i + 1, spec.classes):
-            dmin = min(dmin, float(np.linalg.norm(centroids[i] - centroids[j])))
+    dmin = _min_distance(centroids)
     if dmin < spec.separation:
         centroids *= spec.separation / dmin
     return centroids
@@ -75,26 +82,17 @@ def synth_gen(spec, seed):
     """Build (store, centroids) deterministically from (spec, seed)."""
     centroids = make_centroids(spec, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
-    records = {"train": [], "test": []}
-    grids = {"train": [], "test": []}
-    rid = 0
+    records, grids = {}, {}
     for split, per_class in (("train", spec.train_per_class), ("test", spec.test_per_class)):
-        rid = 0
-        for cid in range(spec.classes):
-            for _ in range(per_class):
-                grid = centroids[cid] + rng.normal(
-                    0, spec.token_noise, size=(spec.tokens, spec.depth)
-                )
-                records[split].append((rid, cid))
-                grids[split].append(grid)
-                rid += 1
+        labels = np.repeat(np.arange(spec.classes), per_class)
+        records[split] = list(enumerate(labels.tolist()))
+        grids[split] = centroids[labels, None, :] + rng.normal(
+            0, spec.token_noise, size=(len(labels), spec.tokens, spec.depth)
+        )
     store = build_store(
         dataset="synthetic",
         class_names=[f"class_{i:03d}" for i in range(spec.classes)],
         records=records,
-        grids_by_split={
-            s: np.array(grids[s]) if grids[s] else np.empty((0, spec.tokens, spec.depth))
-            for s in ("train", "test")
-        },
+        grids_by_split=grids,
     )
     return store, centroids

@@ -259,6 +259,18 @@ class TestPooled:
                 pooled[0, 0] = 1.0
 
 
+    @pytest.mark.parametrize("tokens", [2, 9, 17])
+    def test_pooled_is_the_read_only_pooled_all_row(self, tokens):
+        store, _ = toy_store(tokens=tokens, sparse_ids=True)
+        for split in ("train", "test"):
+            pooled = store.pooled_all(split)
+            for row, rid in enumerate(store.ids(split)):
+                vec = store.pooled(split, rid)
+                assert vec.tobytes() == pooled[row].tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    vec[0] = 1.0
+
+
 class TestByClass:
     def test_ascending_ids(self, small_store):
         store, _ = small_store

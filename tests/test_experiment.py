@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -31,6 +32,54 @@ TINY = {
     "corruption_rate": 0.3,
     "corruption_q": 2,
 }
+
+
+def reference_synth_gen(spec, seed):
+    """The generator as one record per draw and hand-written pair loops:
+    (payload bytes, manifest JSON, centroids) for `synth_gen` to match."""
+
+    def min_distance(points):
+        dmin = np.inf
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                dmin = min(dmin, float(np.linalg.norm(points[i] - points[j])))
+        return dmin
+
+    def spread(rng, n, d, min_dist):
+        pts = rng.normal(size=(n, d))
+        return pts if n == 1 else pts * (min_dist / min_distance(pts))
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCE27]))
+    centers = spread(rng, spec.groups, spec.depth, spec.separation * spec.group_spread)
+    centroids = np.empty((spec.classes, spec.depth))
+    k = 0
+    for g, members in enumerate(np.array_split(np.arange(spec.classes), spec.groups)):
+        centroids[k:k + len(members)] = centers[g] + spread(
+            rng, len(members), spec.depth, spec.separation * 1.2)
+        k += len(members)
+    dmin = min_distance(centroids)
+    if dmin < spec.separation:
+        centroids *= spec.separation / dmin
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    records, blocks = {}, []
+    for split, per_class in (("train", spec.train_per_class), ("test", spec.test_per_class)):
+        records[split] = []
+        for cid in range(spec.classes):
+            for _ in range(per_class):
+                grid = centroids[cid] + rng.normal(0, spec.token_noise,
+                                                   size=(spec.tokens, spec.depth))
+                records[split].append([len(records[split]), cid])
+                blocks.append(grid.astype("<f4").tobytes())
+    payload = b"".join(blocks)
+    manifest = json.dumps({
+        "dataset": "synthetic",
+        "class_names": [f"class_{i:03d}" for i in range(spec.classes)],
+        "tokens": spec.tokens,
+        "depth": spec.depth,
+        "records": records,
+        "checksum": hashlib.sha256(payload).hexdigest(),
+    }, indent=2)
+    return payload, manifest, centroids
 
 
 def tiny_cfg(tmp_path, **kw):
@@ -110,6 +159,36 @@ class TestSynthGen:
             SyntheticSpec(groups=0)
         with pytest.raises(ValueError):
             SyntheticSpec(separation=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("depth", 0), ("tokens", 0), ("train_per_class", 0), ("test_per_class", -1),
+        ("separation", float("nan")), ("separation", float("inf")), ("separation", -1.0),
+        ("group_spread", 0.0), ("group_spread", float("nan")),
+        ("token_noise", float("nan")), ("token_noise", -0.1), ("token_noise", float("inf")),
+    ])
+    def test_spec_rejects_bad_field(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=name):
+            SyntheticSpec(**{**TINY, name: value})
+        with pytest.raises(StageError, match=name) as info:
+            prepare(tiny_cfg(tmp_path, synthetic={**TINY, name: value}), 1)
+        assert info.value.stage == "data"
+
+    @pytest.mark.parametrize("spec", [
+        {},
+        {"classes": 20, "train_per_class": 500, "test_per_class": 1},  # c02
+        {"classes": 6, "train_per_class": 8, "test_per_class": 6,  # c10
+         "depth": 8, "tokens": 2, "groups": 2},
+        {"classes": 5, "train_per_class": 3, "test_per_class": 0, "groups": 5},
+        {"classes": 7, "groups": 1, "depth": 5, "tokens": 9},
+    ])
+    def test_matches_reference_generator(self, spec):
+        spec = SyntheticSpec(**spec)
+        for seed in (0, 7, 42):
+            store, centroids = synth_gen(spec, seed)
+            payload, manifest, want = reference_synth_gen(spec, seed)
+            assert store.export_payload() == payload
+            assert store.manifest.to_json() == manifest
+            assert centroids.tobytes() == want.tobytes()
 
 
 class TestPipeline:
@@ -191,6 +270,7 @@ class TestPipeline:
         ("comparator", {"jitter_sigma": -1}, "training"),
         ("train", {"momentum": -1}, "training"),
         ("train", {"max_lr": float("nan"), "epochs": 1}, "training"),
+        ("rerank", {"n_neighbors": 7}, "evaluation"),  # 6 train records per class
     ])
     def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
                                                        section, bad, stage):
@@ -204,6 +284,20 @@ class TestPipeline:
         assert info.value.stage == stage
         with pytest.raises(StageError, match=stage):
             prepare(cfg, 1)
+
+    def test_n_neighbors_checked_against_subsampled_class(self, tmp_path, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("comparator.train was called")
+
+        monkeypatch.setattr(comparator, "train", no_training)
+        # subsampling keeps ceil(0.5 * 6) = 3 train records per class
+        cfg = tiny_cfg(tmp_path, subsample_fraction=0.5, rerank={"k": 3, "n_neighbors": 4})
+        with pytest.raises(StageError, match="class 0: n_neighbors 4 exceeds its 3") as info:
+            run_seed(cfg, 1, str(tmp_path / "out" / "seed_1"))
+        assert info.value.stage == "evaluation"
+        assert not (tmp_path / "out" / "seed_1" / "train_report.json").exists()
+        cfg = tiny_cfg(tmp_path, subsample_fraction=0.5, rerank={"k": 3, "n_neighbors": 3})
+        assert prepare(cfg, 1).rerank_cfg.n_neighbors == 3
 
     def test_model_build_failure_names_training(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

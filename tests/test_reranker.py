@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,6 +222,16 @@ class TestRerank:
         store, index, out = world
         with pytest.raises(ValueError, match="unknown mode 'x'"):
             rerank_split(store, out, index, CosineScorer(), RerankConfig(k=2), mode="x")
+
+    def test_table_equality_compares_values(self, world):
+        store, index, out = world
+        soft = rerank_split(store, out, index, CosineScorer(), RerankConfig(k=3, prob_floor=0.15))
+        copy = replace(soft, **{name: getattr(soft, name).copy() for name in reranker._TABLE_ARRAYS})
+        assert copy == soft
+        assert replace(soft, mode="hard") != soft
+        flipped = soft.wanted.copy()
+        flipped[0, 0] = not flipped[0, 0]
+        assert replace(soft, wanted=flipped) != soft
 
 
 class TestEvaluate:
