@@ -81,8 +81,8 @@ def top_q(probs, q):
 
 class SyntheticClassifier:
     def __init__(self, centroids, tau, corruption_rate=0.0, corruption_q=10, seed=0):
-        if tau <= 0:
-            raise ValueError(f"temperature must be positive, got {tau}")
+        if not 0 < tau < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {tau}")
         if not 0 <= corruption_rate <= 1:
             raise ValueError("corruption rate must be in [0, 1]")
         self.centroids = np.asarray(centroids, dtype=np.float64)

@@ -73,7 +73,7 @@ def cmd_sanity(args):
 
 
 def cmd_ceiling(args):
-    return experiment.ceiling_step(_prepare(args), args.q_max)
+    return experiment.ceiling_step(_prepare(args))
 
 
 def cmd_sweep(args):
@@ -98,7 +98,7 @@ def cmd_index(args):
     store = EmbeddingStore.load(args.manifest, args.payload)
     index = ClassIndex.build(store)
     query = store.pooled(args.split, args.query_id)
-    exclude = {args.query_id} if args.split == "train" else ()
+    exclude = args.query_id if args.split == "train" else None
     if args.class_id is not None:
         hits = index.nearest_k_in_class(query, args.class_id, args.k, exclude=exclude)
         table = [{"id": i, "distance": d} for i, d in hits]
@@ -135,14 +135,11 @@ def build_parser():
     p = argparse.ArgumentParser(prog="pcnn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def cfg_cmd(name, fn, **extra):
+    def cfg_cmd(name, fn):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=42)
-        for arg, kw in extra.items():
-            sp.add_argument(arg, **kw)
         sp.set_defaults(fn=fn)
-        return sp
 
     cfg_cmd("synth", cmd_synth)
     cfg_cmd("sample", cmd_sample)
@@ -150,7 +147,7 @@ def build_parser():
     cfg_cmd("rerank", cmd_rerank)
     cfg_cmd("eval", cmd_eval)
     cfg_cmd("sanity", cmd_sanity)
-    cfg_cmd("ceiling", cmd_ceiling, **{"--q-max": {"type": int, "default": 20}})
+    cfg_cmd("ceiling", cmd_ceiling)
 
     sp = sub.add_parser("ingest")
     sp.add_argument("--manifest", required=True)

@@ -96,11 +96,11 @@ class Pipeline:
     """One seed's stages up to (but not including) comparator training.
 
     The data stage (`store`, `centroids`, `spec`) loads at construction,
-    and the sampler, comparator, training and re-rank configs are built
-    then too, so a bad config section fails, as StageError naming the stage
-    that reads it, before any stage runs (a class with fewer indexed train
-    records than `n_neighbors` fails as "evaluation");
-    `index`, `classifier`, `out_train`, `out_test`, `train_pairs` and
+    and the classifier and the sampler, comparator, training and re-rank
+    configs are built then too, so a bad config section fails, as
+    StageError naming the stage that reads it, before any stage runs (a
+    class with fewer indexed train records than `n_neighbors` fails as
+    "evaluation"); `index`, `out_train`, `out_test`, `train_pairs` and
     `eval_pairs` are each built on first read and then kept, so a caller
     pays only for the stages it reads. Every stage is seeded per record or
     per query, so build order does not change any output. A stage that
@@ -111,6 +111,12 @@ class Pipeline:
         self.cfg, self.seed = cfg, seed
         with _stage("data"):
             self.store, self.centroids, self.spec = _build_data(cfg, seed)
+        spec = self.spec
+        with _stage("classifier"):
+            self.classifier = SyntheticClassifier(
+                self.centroids, tau=spec.tau, corruption_rate=spec.corruption_rate,
+                corruption_q=spec.corruption_q, seed=seed,
+            )
         with _stage("sampling"):
             self.sampler_cfg = SamplerConfig(**{"seed": seed, **cfg.sampler})
         manifest = self.store.manifest
@@ -136,15 +142,6 @@ class Pipeline:
             if self.cfg.subsample_fraction < 1.0:
                 index = index.subsample(self.cfg.subsample_fraction, self.seed)
             return index
-
-    @cached_property
-    def classifier(self):
-        spec = self.spec
-        with _stage("classifier"):
-            return SyntheticClassifier(
-                self.centroids, tau=spec.tau, corruption_rate=spec.corruption_rate,
-                corruption_q=spec.corruption_q, seed=self.seed,
-            )
 
     @cached_property
     def out_train(self):
@@ -275,10 +272,10 @@ def sanity_step(pipe, model):
         return asdict(reranker.sanity_suite(model, pipe.store, seed=pipe.seed))
 
 
-def ceiling_step(pipe, q_max=20):
-    """Top-Q accuracy of the classifier on the test split, Q = 1..q_max."""
+def ceiling_step(pipe):
+    """Top-Q accuracy of the classifier on the test split, Q = 1..min(C, 20)."""
     with _stage("evaluation"):
-        q_max = min(pipe.store.manifest.num_classes, q_max)
+        q_max = min(pipe.store.manifest.num_classes, 20)
         return reranker.topq_ceiling(pipe.store, pipe.out_test, range(1, q_max + 1))
 
 

@@ -35,13 +35,14 @@ class ClassIndex:
         self._bounds = [int(b) for b in bounds]
 
     @staticmethod
-    def build(store, split="train"):
-        labels = store.labels(split)
-        ids = store.ids(split)
+    def build(store):
+        """The index of the store's train split."""
+        labels = store.labels("train")
+        ids = store.ids("train")
         order = np.lexsort((ids, labels))
         counts = np.bincount(labels, minlength=store.manifest.num_classes)
         bounds = np.concatenate([[0], np.cumsum(counts)])
-        return ClassIndex(store.pooled_all(split)[order], ids[order], bounds)
+        return ClassIndex(store.pooled_all("train")[order], ids[order], bounds)
 
     @property
     def classes(self):
@@ -76,19 +77,22 @@ class ClassIndex:
         rows = np.concatenate(kept)
         return ClassIndex(self._vecs[rows], self._ids[rows], np.concatenate([[0], np.cumsum(keep)]))
 
-    def _nearest(self, queries, class_id, k, skip_q=(), skip_c=()):
+    def _nearest(self, queries, class_id, k, exclude=None):
         """The k nearest rows lo:hi = `_rows(class_id)` for each query row by
-        ascending (distance, id), query skip_q[j] skipping row lo + skip_c[j]:
-        (n, k) rows and their direct-form squared distances.
+        ascending (distance, id), query j skipping the row of record id
+        exclude[j], if the range holds it: (n, k) rows and their direct-form
+        squared distances.
 
         The Gram-form kernel picks the candidates, widened by a bound on its
         rounding error, and only they are ranked by the direct form, so the
         result equals ranking every row by the direct form."""
         lo, hi = self._rows(class_id)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        skip_q = np.asarray(skip_q, dtype=np.intp)
-        skip_c = np.asarray(skip_c, dtype=np.intp)
-        have = (hi - lo) - np.bincount(skip_q, minlength=len(queries))
+        ids, vecs = self._ids[lo:hi], self._vecs[lo:hi]
+        have = np.full(len(queries), hi - lo)
+        if exclude is not None:
+            exclude = np.asarray(exclude, dtype=ids.dtype)
+            have -= np.isin(exclude, ids)
         if len(queries) and have.min() < k:
             cls = "" if class_id is None else f"class {class_id}: "
             raise InsufficientCandidatesError(f"{cls}need {k} candidates, have {have.min()}")
@@ -96,7 +100,6 @@ class ClassIndex:
         dists = np.empty((len(queries), k))
         if k == 0:
             return rows, dists
-        ids, vecs = self._ids[lo:hi], self._vecs[lo:hi]
         # |Gram - direct| <= tol, per query: both forms round within a few
         # ulps of |q|^2 + |b|^2 for each of the D terms
         slack = 8 * (vecs.shape[1] + 2) * np.finfo(np.float64).eps
@@ -106,8 +109,8 @@ class ClassIndex:
             q = queries[s:s + step]
             approx = kernels.sqdist_many(q, vecs)
             tol = slack * (np.einsum("ij,ij->i", q, q) + bb_max)
-            mine = (skip_q >= s) & (skip_q < s + len(q))
-            approx[skip_q[mine] - s, skip_c[mine]] = np.inf
+            if exclude is not None:
+                approx[ids == exclude[s:s + step, None]] = np.inf
             # every row within 2 tol of the k-th smallest Gram distance
             upper = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2 * tol
             qi, ci = (approx <= upper[:, None]).nonzero()
@@ -119,46 +122,38 @@ class ClassIndex:
             dists[s:s + len(q)] = d[pick]
         return rows, dists
 
-    def _nearest_one(self, query, class_id, k, exclude):
-        """`_nearest` for one query that skips the ids in `exclude`."""
-        lo, hi = self._rows(class_id)
-        skip = np.isin(self._ids[lo:hi], list(exclude)).nonzero()[0] if exclude else ()
-        rows, dists = self._nearest(query, class_id, k, np.zeros(len(skip), np.intp), skip)
-        return rows[0], self._ids[rows[0]], dists[0]
-
     def nearest(self, queries, classes, k, exclude=None):
         """Ids of the k nearest records of class classes[j] for each query
         row j, by ascending (distance, id), as an (n, k) array, each class
         ranked once for all its queries; `exclude`, if given, holds one
         record id per query that the query skips."""
         classes = np.asarray(classes)
+        exclude = None if exclude is None else np.asarray(exclude)
         out = np.empty((len(classes), k), dtype=self._ids.dtype)
         for cid in np.unique(classes).tolist():
             at = (classes == cid).nonzero()[0]
-            lo, hi = self._rows(cid)
-            skip_q = skip_c = ()
-            if exclude is not None and hi > lo:
-                # class rows ascend by id: find each excluded id's row, if any
-                want = np.asarray(exclude)[at]
-                pos = np.minimum(np.searchsorted(self._ids[lo:hi], want), hi - lo - 1)
-                skip_q = (self._ids[lo + pos] == want).nonzero()[0]
-                skip_c = pos[skip_q]
-            rows, _ = self._nearest(queries[at], cid, k, skip_q, skip_c)
+            rows, _ = self._nearest(queries[at], cid, k,
+                                    None if exclude is None else exclude[at])
             out[at] = self._ids[rows]
         return out
 
-    def nearest_in_class(self, query, class_id, rank=1, exclude=()):
-        """n-th nearest (1-based) non-excluded record of a class."""
+    def nearest_in_class(self, query, class_id, rank=1, exclude=None):
+        """n-th nearest (1-based) record of a class other than the record id
+        `exclude`."""
         if rank < 1:
             raise ValueError("rank must be >= 1")
         return self.nearest_k_in_class(query, class_id, rank, exclude)[rank - 1]
 
-    def nearest_k_in_class(self, query, class_id, k, exclude=()):
-        _, ids, dists = self._nearest_one(query, class_id, k, exclude)
-        return [(int(i), float(d)) for i, d in zip(ids, dists)]
+    def nearest_k_in_class(self, query, class_id, k, exclude=None):
+        """The k nearest records of a class other than the record id
+        `exclude`, as (id, distance) pairs by ascending (distance, id)."""
+        rows, dists = self._nearest(query, class_id, k, None if exclude is None else [exclude])
+        return [(int(i), float(d)) for i, d in zip(self._ids[rows[0]], dists[0])]
 
-    def topk_global(self, query, k, exclude=()):
-        """Exact global top-k (ascending distance, id tie-break)."""
-        rows, ids, dists = self._nearest_one(query, None, k, exclude)
-        classes = np.searchsorted(self._bounds, rows, side="right") - 1
-        return [(int(i), float(d), int(c)) for i, d, c in zip(ids, dists, classes)]
+    def topk_global(self, query, k, exclude=None):
+        """Exact global top-k other than the record id `exclude`, as
+        (id, distance, class) triples by ascending (distance, id)."""
+        rows, dists = self._nearest(query, None, k, None if exclude is None else [exclude])
+        classes = np.searchsorted(self._bounds, rows[0], side="right") - 1
+        return [(int(i), float(d), int(c))
+                for i, d, c in zip(self._ids[rows[0]], dists[0], classes)]

@@ -5,8 +5,6 @@ Tape; with no tape active they are plain forward computations (used for
 inference and finite-difference probing).
 """
 
-import threading
-
 import numpy as np
 import scipy.sparse
 from scipy.special import erf
@@ -31,13 +29,8 @@ class DegenerateBatchError(ValueError):
     """Batch statistics requested on a batch of size 1."""
 
 
-_tls = threading.local()
-
-
-def _tape_stack():
-    if not hasattr(_tls, "stack"):
-        _tls.stack = []
-    return _tls.stack
+# active tapes, innermost last
+_TAPES = []
 
 
 class Tape:
@@ -47,11 +40,11 @@ class Tape:
         self.nodes = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _TAPES.pop()
         return False
 
 
@@ -80,11 +73,10 @@ def _as_tensor(x):
 def _make(data, parents, backward_fn):
     out = Tensor(data)
     out.requires_grad = any(p.requires_grad for p in parents)
-    stack = _tape_stack()
-    if stack and out.requires_grad:
+    if _TAPES and out.requires_grad:
         out._parents = parents
         out._backward = backward_fn
-        stack[-1].nodes.append(out)
+        _TAPES[-1].nodes.append(out)
     return out
 
 

@@ -182,7 +182,8 @@ def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
     soft = rerank_split(store, output, index, scorer, cfg, query_split)
     # hard mode re-ranks the same candidates by the same s scores
     hard = replace(soft, mode="hard")
-    acc_c = np.mean(np.argmax(output.probs_for(store, query_split), axis=1) == labels)
+    # C's prediction is its top-1 class under `top_q`'s ordering
+    acc_c = np.mean(soft.classes[:, 0] == labels)
     mean_q = float(np.mean(soft.comparator_queries)) if len(soft) else 0.0
     return RerankReport(
         accuracy_c=float(acc_c),
@@ -217,7 +218,7 @@ def save_results(table, path):
 def knn_classify(store, index, scorer, qid, k=20, query_split="test"):
     """k-nearest-neighbor vote over global pooled retrieval, rescored."""
     pooled = store.pooled(query_split, qid)
-    exclude = {qid} if query_split == "train" else ()
+    exclude = qid if query_split == "train" else None
     hits = index.topk_global(pooled, k, exclude=exclude)
     rows1 = store.rows(query_split, [qid] * len(hits))
     rows2 = store.rows("train", [nid for nid, _, _ in hits])
@@ -279,8 +280,10 @@ def sanity_suite(model, store, seed=0):
 
 
 def topq_ceiling(store, output, q_values, query_split="test"):
-    """Cumulative top-Q accuracy table: fraction of queries with gt in top-Q."""
+    """Cumulative top-Q accuracy table: fraction of queries with gt in top-Q,
+    classes ranked by `top_q`."""
     labels = store.labels(query_split)
-    order = np.argsort(-output.probs_for(store, query_split), axis=1, kind="stable")
+    probs = output.probs_for(store, query_split)
+    order = top_q(probs, probs.shape[1]).classes
     ranks = np.argmax(order == labels[:, None], axis=1)
     return {int(q): float(np.mean(ranks < q)) for q in q_values}

@@ -271,6 +271,8 @@ class TestPipeline:
         ("train", {"momentum": -1}, "training"),
         ("train", {"max_lr": float("nan"), "epochs": 1}, "training"),
         ("rerank", {"n_neighbors": 7}, "evaluation"),  # 6 train records per class
+        ("synthetic", {**TINY, "tau": float("nan")}, "classifier"),
+        ("synthetic", {**TINY, "tau": 0}, "classifier"),
     ])
     def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
                                                        section, bad, stage):

@@ -37,7 +37,7 @@ class TestNearestInClass:
         store, _, index = store_index
         rid = store.by_class("train", 1)[0]
         q = store.pooled("train", rid)
-        nid, _ = index.nearest_in_class(q, 1, rank=1, exclude={rid})
+        nid, _ = index.nearest_in_class(q, 1, rank=1, exclude=rid)
         assert nid != rid
         nid2, _ = index.nearest_in_class(q, 2, rank=1)
         # rank-1 with self excluded == rank-2 without exclusion here
@@ -110,8 +110,28 @@ class TestTopkGlobal:
         store, _, index = store_index
         rid = store.ids("train")[0]
         q = store.pooled("train", rid)
-        hits = index.topk_global(q, 10, exclude={rid})
+        hits = index.topk_global(q, 10, exclude=rid)
         assert rid not in [i for i, _, _ in hits]
+        # with exact twins in the split, a train query's global ranking
+        # minus itself is the direct-form (distance, id) order of the other
+        # records; asking for all n leaves one short
+        from pcnn import kernels
+
+        store = tied_sparse_store()
+        index = ClassIndex.build(store)
+        ids, vecs = store.ids("train"), store.pooled_all("train")
+        n = len(ids)
+        for row in (0, 5, n - 1):
+            rid, q = int(ids[row]), vecs[row]
+            keep = ids != rid
+            dist = kernels.sqdist_one(q, vecs[keep])
+            want = ids[keep][np.lexsort((ids[keep], dist))]
+            hits = index.topk_global(q, n - 1, exclude=rid)
+            assert [i for i, _, _ in hits] == want.tolist()
+            assert [c for i, _, c in hits] == [store.class_of("train", i) for i in want]
+            with pytest.raises(InsufficientCandidatesError,
+                               match=f"need {n} candidates, have {n - 1}"):
+                index.topk_global(q, n, exclude=rid)
 
 
 def members(index, class_id):
@@ -218,7 +238,10 @@ def test_sqdist_many_matches_direct_form(store_index):
 
 def test_nearest_matches_direct_ranking():
     """The batched path returns the direct-form (distance, id) ranking, with
-    exact ties from duplicated vectors and a per-query excluded id."""
+    exact ties from duplicated vectors and a per-query excluded id: an id
+    drawn from the class is skipped, one from the other class changes
+    nothing, and too few candidates are reported only when the class holds
+    the excluded id."""
     from pcnn import kernels
 
     rng = np.random.default_rng(4)
@@ -233,17 +256,28 @@ def test_nearest_matches_direct_ranking():
     for cid in (0, 1):
         cls_ids = index._ids[bounds[cid]:bounds[cid + 1]]
         cls_vecs = index._vecs[bounds[cid]:bounds[cid + 1]]
-        exclude = cls_ids[rng.integers(0, len(cls_ids), size=len(queries))]
+        in_class = cls_ids[rng.integers(0, len(cls_ids), size=len(queries))]
+        # ids of both classes: only the in-class ones are skipped
+        mixed = index._ids[rng.integers(0, len(index._ids), size=len(queries))]
         classes = np.full(len(queries), cid)
-        for k in range(1, len(cls_ids)):
-            got = index.nearest(queries, classes, k, exclude=exclude)
-            for q, skip, row in zip(queries, exclude, got):
-                keep = cls_ids != skip
-                dist = kernels.sqdist_one(q, cls_vecs[keep])
-                want = cls_ids[keep][np.lexsort((cls_ids[keep], dist))][:k]
-                assert list(row) == list(want)
+        for exclude in (in_class, mixed):
+            for k in range(1, len(cls_ids)):
+                got = index.nearest(queries, classes, k, exclude=exclude)
+                for q, skip, row in zip(queries, exclude, got):
+                    keep = cls_ids != skip
+                    dist = kernels.sqdist_one(q, cls_vecs[keep])
+                    want = cls_ids[keep][np.lexsort((cls_ids[keep], dist))][:k]
+                    assert list(row) == list(want)
         with pytest.raises(InsufficientCandidatesError):
-            index.nearest(queries, classes, len(cls_ids), exclude=exclude)
+            index.nearest(queries, classes, len(cls_ids), exclude=in_class)
+        outside = ~np.isin(mixed, cls_ids)
+        assert outside.any() and not outside.all()
+        got = index.nearest(queries[outside], classes[outside], len(cls_ids),
+                            exclude=mixed[outside])
+        assert (np.sort(got, axis=1) == np.sort(cls_ids)).all()
+        with pytest.raises(InsufficientCandidatesError):
+            index.nearest(queries[~outside], classes[~outside], len(cls_ids),
+                          exclude=mixed[~outside])
 
 
 def tied_sparse_store():
@@ -271,7 +305,7 @@ def test_nearest_mixed_classes_equal_per_class_retrieval():
         got = index.nearest(queries, classes, 5, exclude)
         assert got.shape == (len(ids), 5)
         for q, c, qid, row in zip(queries, classes, ids, got):
-            skip = {int(qid)} if split == "train" else ()
+            skip = int(qid) if split == "train" else None
             want = [i for i, _ in index.nearest_k_in_class(q, int(c), 5, exclude=skip)]
             assert row.tolist() == want
         if split == "train":  # a train query's twin is its nearest positive

@@ -258,7 +258,7 @@ def reference_sample(store, output, index, config, split):
         probs = output.probs[store.rows(split, [qid])[0]]
         top = sorted(range(num_classes), key=lambda c: (-probs[c], c))[: config.q]
         flags[qid] = gt in top
-        exclude = {qid} if split == "train" else ()
+        exclude = qid if split == "train" else None
         for rank, (nid, _) in enumerate(
             index.nearest_k_in_class(pooled, gt, config.q, exclude), start=1
         ):

@@ -389,6 +389,10 @@ class TestBatchedParity:
         table = topq_ceiling(store, out, range(1, 7))
         assert table == {q: float(np.mean(np.array(ranks) < q)) for q in range(1, 7)}
         assert len(set(table.values())) > 2
+        # C's accuracy reads the same ordering, ties included
+        report = evaluate_rerank(store, out, ClassIndex.build(store), OracleScorer(),
+                                 RerankConfig(k=3))
+        assert report.accuracy_c == table[1]
 
 
 class TestScorers:

@@ -13,7 +13,10 @@ directory:
   and at the `seed` benchmark shape;
 - `cli`: the files and the exit code, stdout and stderr of `synth`,
   `sample`, `train`, `eval`, `rerank`, `sanity`, `ceiling`, `explain`,
-  `ingest` and `index` at the `posttrain_cli` benchmark shape.
+  `ingest` and `index` at the `posttrain_cli` benchmark shape. `index` runs
+  three times: for a test query, and for a train query, globally and in its
+  own class, where it must skip itself. Each run's exit code, stdout and
+  stderr go to `cli/stdout/<name>.json`.
 
 Configs use paths relative to that directory, so their bytes match across
 trees. The two directories are compared byte for byte and one JSON report
@@ -137,15 +140,21 @@ def run_shapes():
     ]
     for cmd, argv in commands:
         _run_cli(cli, cmd, argv)
-    test_id = json.loads(Path(seed_dir, "manifest.json").read_text())["records"]["test"][0][0]
+    records = json.loads(Path(seed_dir, "manifest.json").read_text())["records"]
+    (test_id, _), (train_id, train_class) = records["test"][0], records["train"][0]
+    train = [*files, "--split", "train", "--query-id", str(train_id), "--k", "5"]
     _run_cli(cli, "index", [*files, "--query-id", str(test_id), "--k", "5"])
+    _run_cli(cli, "index", train, "index_train")
+    _run_cli(cli, "index", [*train, "--class-id", str(train_class)], "index_train_class")
 
 
-def _run_cli(cli, cmd, argv):
+def _run_cli(cli, cmd, argv, name=None):
+    """Run one command; write its exit code, stdout and stderr to
+    `cli/stdout/<name>.json`, the name defaulting to the command's."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([cmd, *argv])
-    _write_json(Path("cli/stdout", f"{cmd}.json"),
+    _write_json(Path("cli/stdout", f"{name or cmd}.json"),
                {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
 
 
