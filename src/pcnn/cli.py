@@ -1,20 +1,20 @@
 """Command-line harness.
 
 Every stage is driven by a single JSON experiment config; commands are
-idempotent with respect to their declared outputs. A config command runs
-one `experiment` step, which writes the same files as `run_seed`, and
-prints the JSON document the step returns. On failure the process exits
+idempotent with respect to their declared outputs. The config commands
+are `experiment.STEPS`: each runs its step on `experiment.prepare(config,
+seed)`, which writes the same files as `run_seed`, and prints the JSON
+document the step returns. On failure the process exits
 nonzero after printing one machine-readable error JSON to stderr.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from . import experiment
 from .atomicio import atomic_open
-from .comparator import load_checkpoint
+from .comparator import load_checkpoint  # unused here; perfbench's trace test reads it
 from .embedstore import EmbeddingStore
 from .experiment import ExperimentConfig
 from .nnindex import ClassIndex
@@ -24,56 +24,6 @@ def _fail(command, exc):
     err = {"command": command, "error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(err), file=sys.stderr)
     return 1
-
-
-def _prepare(args):
-    return experiment.prepare(ExperimentConfig.load(args.config), args.seed)
-
-
-def _out(pipe):
-    return experiment.seed_dir(pipe.cfg, pipe.seed)
-
-
-def _load_model(pipe):
-    blob, header = experiment.checkpoint_paths(_out(pipe))
-    if not os.path.exists(blob):
-        raise FileNotFoundError(f"no checkpoint at {blob}; run `train` first")
-    return load_checkpoint(blob, header)[0]
-
-
-def cmd_synth(args):
-    pipe = _prepare(args)
-    return experiment.data_step(pipe, _out(pipe))
-
-
-def cmd_sample(args):
-    pipe = _prepare(args)
-    return experiment.pairs_step(pipe, _out(pipe))
-
-
-def cmd_train(args):
-    pipe = _prepare(args)
-    _, _, doc = experiment.train_step(pipe, _out(pipe))
-    return doc
-
-
-def cmd_eval(args):
-    pipe = _prepare(args)
-    return experiment.eval_step(pipe, _load_model(pipe))
-
-
-def cmd_rerank(args):
-    pipe = _prepare(args)
-    return experiment.rerank_step(pipe, _load_model(pipe), _out(pipe))
-
-
-def cmd_sanity(args):
-    pipe = _prepare(args)
-    return experiment.sanity_step(pipe, _load_model(pipe))
-
-
-def cmd_ceiling(args):
-    return experiment.ceiling_step(_prepare(args))
 
 
 def cmd_sweep(args):
@@ -135,19 +85,12 @@ def build_parser():
     p = argparse.ArgumentParser(prog="pcnn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def cfg_cmd(name, fn):
+    for name, step in experiment.STEPS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=42)
-        sp.set_defaults(fn=fn)
-
-    cfg_cmd("synth", cmd_synth)
-    cfg_cmd("sample", cmd_sample)
-    cfg_cmd("train", cmd_train)
-    cfg_cmd("rerank", cmd_rerank)
-    cfg_cmd("eval", cmd_eval)
-    cfg_cmd("sanity", cmd_sanity)
-    cfg_cmd("ceiling", cmd_ceiling)
+        sp.set_defaults(fn=lambda args, step=step: step(
+            experiment.prepare(ExperimentConfig.load(args.config), args.seed)))
 
     sp = sub.add_parser("ingest")
     sp.add_argument("--manifest", required=True)

@@ -16,6 +16,7 @@ import numpy as np
 from . import numkernel as nk
 from .atomicio import check_blob, sha256, write_blob
 from .pairsampler import POSITIVE, pairset_rows
+from .validate import check_ints
 
 class TrainingError(RuntimeError):
     pass
@@ -33,12 +34,8 @@ class ComparatorConfig:
     jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        for name in ("depth", "tokens", "heads", "mlp_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("blocks", "cross_layers", "self_layers"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_ints(self, depth=1, tokens=1, heads=1, mlp_hidden=1, blocks=0,
+                   cross_layers=0, self_layers=0)
         if not 0 <= self.jitter_sigma < math.inf:
             raise ValueError("jitter_sigma must be finite and >= 0")
         if self.blocks > 0 and self.depth % self.heads != 0:
@@ -365,9 +362,9 @@ def score_pairset(model, store, pairset, batch_size=256):
     )
 
 
-def evaluate_binary(model, store, pairset, threshold=0.5, batch_size=256):
+def evaluate_binary(model, store, pairset, batch_size=256):
     scores = score_pairset(model, store, pairset, batch_size)
-    return metrics_from_scores(scores, pairset.pairs.label, threshold)
+    return metrics_from_scores(scores, pairset.pairs.label)
 
 
 # ------------------------------------------------------------- training
@@ -385,10 +382,7 @@ class TrainConfig:
     final_div_factor: float = 1e4
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise ValueError("batch size must be >= 2 (batch norm)")
+        check_ints(self, epochs=1, batch_size=2)  # batch norm needs 2 rows
         if not 0 <= self.warmup_fraction < 1:
             raise ValueError("warmup fraction must be in [0, 1)")
         if not 0 <= self.momentum < 1:
@@ -423,7 +417,7 @@ def one_cycle_lr(step, total_steps, cfg):
     return anneal(hi, end, (t - cfg.warmup_fraction) / (1.0 - cfg.warmup_fraction))
 
 
-def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
+def train(model, store, train_pairs, eval_pairs, cfg):
     """Momentum-SGD training; returns the best-F1 checkpoint and a report."""
     if len(train_pairs) < 2 or not len(eval_pairs):
         raise ValueError("need >= 2 train pairs (batch norm) and >= 1 eval pair")
@@ -482,7 +476,7 @@ def train(model, store, train_pairs, eval_pairs, cfg, threshold=0.5):
             step += 1
         if bad := _non_finite(model.state_arrays()):
             raise TrainingError(f"non-finite parameter {bad!r} after epoch {epoch}")
-        metrics = evaluate_binary(model, store, eval_pairs, threshold, cfg.batch_size)
+        metrics = evaluate_binary(model, store, eval_pairs, cfg.batch_size)
         row = {
             "epoch": epoch,
             "loss": epoch_loss / trained,

@@ -4,9 +4,10 @@ Stages per seed: generate (or load) data, build the index, run the
 synthetic classifier, sample pairs, train the comparator, evaluate the
 binary task and the re-ranking task, run sanity checks, and write every
 artifact under the output directory. The step functions below own the
-seed directory's files. `run_seed` runs the pairs, training, re-rank,
-sanity and ceiling steps, and each `pcnn` config command runs one step, so
-both write the same bytes.
+seed directory's files, and each takes only the lazy `Pipeline`, which owns
+the seed directory and the trained model. `run_seed` runs the pairs,
+training, re-rank, sanity and ceiling steps, and each `pcnn` config command
+runs one entry of `STEPS`, so both write the same bytes.
 """
 
 import contextlib
@@ -65,6 +66,8 @@ class ExperimentConfig:
             raise ValueError("seed list must be non-empty")
         if not 0 < self.subsample_fraction <= 1:
             raise ValueError("subsample fraction must be in (0, 1]")
+        if (self.manifest_path is None) != (self.payload_path is None):
+            raise ValueError("manifest_path and payload_path must be set together")
 
     @staticmethod
     def from_json(text):
@@ -93,22 +96,23 @@ def _build_data(cfg, seed):
 
 
 class Pipeline:
-    """One seed's stages up to (but not including) comparator training.
+    """One seed's stages, its seed directory and its comparator.
 
     The data stage (`store`, `centroids`, `spec`) loads at construction,
     and the classifier and the sampler, comparator, training and re-rank
     configs are built then too, so a bad config section fails, as
     StageError naming the stage that reads it, before any stage runs (a
     class with fewer indexed train records than `n_neighbors` fails as
-    "evaluation"); `index`, `out_train`, `out_test`, `train_pairs` and
-    `eval_pairs` are each built on first read and then kept, so a caller
-    pays only for the stages it reads. Every stage is seeded per record or
-    per query, so build order does not change any output. A stage that
-    fails raises StageError naming it and stays unbuilt.
+    "evaluation"); `index`, `out_train`, `out_test`, `train_pairs`,
+    `eval_pairs`, `out`, `trained` and `model` are each built on first read
+    and then kept, so a caller pays only for the stages it reads. Every
+    stage is seeded per record or per query, so build order does not change
+    any output. A stage that fails raises StageError naming it and stays
+    unbuilt.
     """
 
-    def __init__(self, cfg, seed):
-        self.cfg, self.seed = cfg, seed
+    def __init__(self, cfg, seed, out=None):
+        self.cfg, self.seed, self._out = cfg, seed, out
         with _stage("data"):
             self.store, self.centroids, self.spec = _build_data(cfg, seed)
         spec = self.spec
@@ -167,15 +171,37 @@ class Pipeline:
                 self.store, self.out_test, self.index, self.sampler_cfg
             )
 
+    @cached_property
+    def out(self):
+        """The seed directory, `<output_dir>/seed_<seed>` unless given; created
+        on first read."""
+        path = self._out or os.path.join(self.cfg.output_dir, f"seed_{self.seed}")
+        os.makedirs(path, exist_ok=True)
+        return path
 
-def prepare(cfg, seed):
+    @cached_property
+    def trained(self):
+        """(model, report) of a comparator trained on this seed's pairs."""
+        return train_comparator(self)
+
+    @cached_property
+    def model(self):
+        """The comparator in the seed directory's checkpoint."""
+        blob, header = checkpoint_paths(self.out)
+        if not os.path.exists(blob):
+            raise FileNotFoundError(f"no checkpoint at {blob}; run `train` first")
+        return comparator.load_checkpoint(blob, header)[0]
+
+
+def prepare(cfg, seed, out=None):
     """Load the data stage of one seed; every later stage builds on first read.
 
     Raises StageError at once for a bad manifest or payload ("data") or a
     bad config section (the stage that reads it); the returned Pipeline
-    raises StageError naming any later stage that fails.
+    raises StageError naming any later stage that fails. `out` is the seed
+    directory, `<output_dir>/seed_<seed>` by default.
     """
-    return Pipeline(cfg, seed)
+    return Pipeline(cfg, seed, out)
 
 
 def train_comparator(pipe):
@@ -190,15 +216,10 @@ def train_comparator(pipe):
 
 # ------------------------------------------------------------------ steps
 #
-# Each step reads the lazy Pipeline, writes its files into a seed directory
-# and returns the JSON document it reports.
-
-
-def seed_dir(cfg, seed):
-    """The output directory of one seed, created if missing."""
-    path = os.path.join(cfg.output_dir, f"seed_{seed}")
-    os.makedirs(path, exist_ok=True)
-    return path
+# Each step reads the lazy Pipeline, writes its files into `pipe.out` and
+# returns the JSON document it reports. A step that scores reads
+# `pipe.model` before its evaluation stage, so a missing checkpoint stays a
+# FileNotFoundError.
 
 
 def checkpoint_paths(out):
@@ -206,20 +227,20 @@ def checkpoint_paths(out):
     return os.path.join(out, "checkpoint.bin"), os.path.join(out, "checkpoint.json")
 
 
-def data_step(pipe, out):
+def data_step(pipe):
     """Write the store and the classifier centroids."""
-    manifest = os.path.join(out, "manifest.json")
-    pipe.store.save(manifest, os.path.join(out, "payload.bin"))
-    with atomic_open(os.path.join(out, "centroids.json")) as fh:
+    manifest = os.path.join(pipe.out, "manifest.json")
+    pipe.store.save(manifest, os.path.join(pipe.out, "payload.bin"))
+    with atomic_open(os.path.join(pipe.out, "centroids.json")) as fh:
         json.dump(pipe.centroids.tolist(), fh)
     return {"manifest": manifest,
             "records": {s: pipe.store.size(s) for s in ("train", "test")}}
 
 
-def pairs_step(pipe, out):
+def pairs_step(pipe):
     """Write the train and eval pairs; report their counts and the 2Q-1/2Q audit."""
-    pairsampler.save_pairs(pipe.train_pairs, os.path.join(out, "pairs_train.jsonl"))
-    pairsampler.save_pairs(pipe.eval_pairs, os.path.join(out, "pairs_eval.jsonl"))
+    pairsampler.save_pairs(pipe.train_pairs, os.path.join(pipe.out, "pairs_train.jsonl"))
+    pairsampler.save_pairs(pipe.eval_pairs, os.path.join(pipe.out, "pairs_eval.jsonl"))
     audit = pairsampler.pair_count_audit(
         pipe.train_pairs, pipe.store.ids("train"), pipe.sampler_cfg.q
     )
@@ -227,26 +248,26 @@ def pairs_step(pipe, out):
             "audit_ok": audit.ok, "audit_expected": audit.expected}
 
 
-def train_step(pipe, out):
+def train_step(pipe):
     """Train the comparator; write checkpoint.* and train_report.json.
 
-    Returns the model, restored to the selected epoch, the training report
-    and the selected epoch with its F1, which the checkpoint header's
+    Returns the selected epoch and its F1, which the checkpoint header's
     `extra` also holds next to the seed.
     """
-    model, report = train_comparator(pipe)
+    model, report = pipe.trained
     doc = {"selected_epoch": report.selected_epoch,
            "f1": report.epochs[report.selected_epoch]["f1"]}
-    comparator.save_checkpoint(model, *checkpoint_paths(out),
+    comparator.save_checkpoint(model, *checkpoint_paths(pipe.out),
                                extra={"seed": pipe.seed, **doc})
-    with atomic_open(os.path.join(out, "train_report.json")) as fh:
+    with atomic_open(os.path.join(pipe.out, "train_report.json")) as fh:
         fh.write(report.to_json())
-    return model, report, doc
+    return doc
 
 
-def eval_step(pipe, model):
+def eval_step(pipe):
     """Binary pair metrics of the model on the eval pairs, as a JSON document:
     an empty confusion cell's mean confidence (NaN) is None."""
+    model = pipe.model
     with _stage("evaluation"):
         doc = asdict(comparator.evaluate_binary(model, pipe.store, pipe.eval_pairs))
     doc["mean_confidence"] = {cell: None if np.isnan(v) else v
@@ -254,20 +275,22 @@ def eval_step(pipe, model):
     return doc
 
 
-def rerank_step(pipe, model, out):
+def rerank_step(pipe):
     """Soft and hard re-ranking of the test split; write both rerank_*.jsonl."""
+    model = pipe.model
     with _stage("evaluation"):
         rr = reranker.evaluate_rerank(pipe.store, pipe.out_test, pipe.index,
                                       ModelScorer(model), pipe.rerank_cfg)
-    reranker.save_results(rr.results_soft, os.path.join(out, "rerank_soft.jsonl"))
-    reranker.save_results(rr.results_hard, os.path.join(out, "rerank_hard.jsonl"))
+    reranker.save_results(rr.results_soft, os.path.join(pipe.out, "rerank_soft.jsonl"))
+    reranker.save_results(rr.results_hard, os.path.join(pipe.out, "rerank_hard.jsonl"))
     return {"accuracy_c": rr.accuracy_c, "accuracy_soft": rr.accuracy_soft,
             "accuracy_hard": rr.accuracy_hard,
             "mean_comparator_queries": rr.mean_comparator_queries}
 
 
-def sanity_step(pipe, model):
+def sanity_step(pipe):
     """Rates of self, random-valued and shuffled pairs scored as a match."""
+    model = pipe.model
     with _stage("evaluation"):
         return asdict(reranker.sanity_suite(model, pipe.store, seed=pipe.seed))
 
@@ -279,31 +302,39 @@ def ceiling_step(pipe):
         return reranker.topq_ceiling(pipe.store, pipe.out_test, range(1, q_max + 1))
 
 
-def run_seed(cfg, seed, out_dir):
-    """Every step of one seed into out_dir, then results.json."""
-    os.makedirs(out_dir, exist_ok=True)
-    pipe = prepare(cfg, seed)
-    pairs_step(pipe, out_dir)
-    model, report, _ = train_step(pipe, out_dir)
-    # the restored model is the selected epoch's, so its eval metrics stand
+# `pcnn <command>` runs one step on `prepare(config, seed)`
+STEPS = {"synth": data_step, "sample": pairs_step, "train": train_step,
+         "eval": eval_step, "rerank": rerank_step, "sanity": sanity_step,
+         "ceiling": ceiling_step}
+
+
+def run_seed(cfg, seed, out_dir=None):
+    """Every step of one seed into out_dir (by default `<output_dir>/seed_<seed>`),
+    then results.json. After training, each step reads the model from the
+    checkpoint, as a `pcnn` command does."""
+    pipe = prepare(cfg, seed, out_dir)
+    pairs_step(pipe)
+    train_step(pipe)
+    # the checkpoint holds the selected epoch, so its eval metrics stand
+    report = pipe.trained[1]
     best = report.epochs[report.selected_epoch]
     results = {
         "seed": seed,
         "binary": {"accuracy": best["eval_accuracy"],
                    **{k: best[k] for k in ("precision", "recall", "f1")}},
-        "rerank": rerank_step(pipe, model, out_dir),
-        "sanity": sanity_step(pipe, model),
+        "rerank": rerank_step(pipe),
+        "sanity": sanity_step(pipe),
         "topq_ceiling": ceiling_step(pipe),
         "selected_epoch": report.selected_epoch,
     }
-    with atomic_open(os.path.join(out_dir, "results.json")) as fh:
+    with atomic_open(os.path.join(pipe.out, "results.json")) as fh:
         json.dump(results, fh, indent=2)
     return results
 
 
 def run(cfg):
     """Execute every seed and write per-seed plus mean/std summaries."""
-    per_seed = [run_seed(cfg, seed, seed_dir(cfg, seed)) for seed in cfg.seeds]
+    per_seed = [run_seed(cfg, seed) for seed in cfg.seeds]
 
     def agg(path):
         vals = per_seed

@@ -49,13 +49,12 @@ class Tape:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_backward")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = ()
         self._backward = None
 
     @property
@@ -74,7 +73,6 @@ def _make(data, parents, backward_fn):
     out = Tensor(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     if _TAPES and out.requires_grad:
-        out._parents = parents
         out._backward = backward_fn
         _TAPES[-1].nodes.append(out)
     return out

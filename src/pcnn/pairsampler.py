@@ -18,6 +18,7 @@ import numpy as np
 
 from .atomicio import atomic_open
 from .classifier import top_q
+from .validate import check_ints
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -32,10 +33,7 @@ class SamplerConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("Q must be >= 2")
-        if self.nn_rank < 1:
-            raise ValueError("nn_rank must be >= 1")
+        check_ints(self, q=2, nn_rank=1)
         if self.negative_mode not in ("hard_topQ", "random_class"):
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
 

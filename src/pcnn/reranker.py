@@ -18,6 +18,7 @@ import numpy as np
 from .atomicio import atomic_open
 from .classifier import top_q
 from .comparator import score_rows
+from .validate import check_ints
 
 
 @dataclass
@@ -27,10 +28,7 @@ class RerankConfig:
     prob_floor: float = 0.0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("K must be >= 1")
-        if self.n_neighbors < 1:
-            raise ValueError("n_neighbors must be >= 1")
+        check_ints(self, k=1, n_neighbors=1)
         if not 0 <= self.prob_floor < 1:
             raise ValueError("probability floor must be in [0, 1)")
 

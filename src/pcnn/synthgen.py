@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedstore import build_store
+from .validate import check_ints
 
 
 @dataclass
@@ -35,11 +36,9 @@ class SyntheticSpec:
     corruption_q: int = 2  # swap partner drawn from the top-Q of this Q
 
     def __post_init__(self):
-        for name, low in (("classes", 2), ("depth", 1), ("tokens", 1),
-                          ("train_per_class", 1), ("test_per_class", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if not 1 <= self.groups <= self.classes:
+        check_ints(self, classes=2, depth=1, tokens=1, train_per_class=1,
+                   test_per_class=0, groups=1)
+        if self.groups > self.classes:
             raise ValueError("groups must be in 1..classes")
         for name in ("separation", "group_spread"):
             if not 0 < getattr(self, name) < math.inf:

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from pcnn import pairsampler
+from pcnn import experiment, pairsampler
 from pcnn.classifier import SyntheticClassifier
-from pcnn.cli import main
+from pcnn.cli import build_parser, main
 from pcnn.experiment import ExperimentConfig, run_seed
 from pcnn.nnindex import ClassIndex
 
@@ -278,17 +278,49 @@ def test_ingest_names_the_truncated_payload(capsys, tmp_path):
     assert doc["error"] == "IngestionError" and doc["message"].startswith(f"{payload}: ")
 
 
-def test_rerank_without_checkpoint_fails(cfg_path, capsys, tmp_path):
+def test_config_commands_are_the_experiment_steps(capsys, tmp_path, monkeypatch):
+    (subparsers,) = build_parser()._subparsers._group_actions
+    assert set(subparsers.choices) == set(experiment.STEPS) | {
+        "ingest", "index", "explain", "sweep"}
+    seen = []
+
+    def probe(pipe):
+        seen.append(pipe)
+        return {"seed": pipe.seed}
+
+    monkeypatch.setattr(experiment, "STEPS", {"probe": probe})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), "synthetic": TINY}))
+    code, out, err = run_cli(capsys, "probe", "--config", str(path), "--seed", "5")
+    assert code == 0, err
+    assert json.loads(out) == {"seed": 5}
+    assert isinstance(seen[0], experiment.Pipeline) and seen[0].cfg.synthetic == TINY
+
+
+def test_ceiling_creates_no_seed_directory(cfg_path, capsys, tmp_path):
     root, path = cfg_path
     cfg = json.loads(path.read_text())
     cfg["output_dir"] = str(tmp_path / "fresh")
     p2 = tmp_path / "cfg2.json"
     p2.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "rerank", "--config", str(p2), "--seed", "1")
+    code, _, err = run_cli(capsys, "ceiling", "--config", str(p2), "--seed", "1")
+    assert code == 0, err
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "rerank", "sanity"])
+def test_rerank_without_checkpoint_fails(cfg_path, capsys, tmp_path, cmd):
+    root, path = cfg_path
+    cfg = json.loads(path.read_text())
+    cfg["output_dir"] = str(tmp_path / "fresh")
+    p2 = tmp_path / "cfg2.json"
+    p2.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, cmd, "--config", str(p2), "--seed", "1")
     assert code == 1
     doc = json.loads(err)
-    assert doc["command"] == "rerank"
+    assert doc["command"] == cmd
     assert doc["error"] == "FileNotFoundError"
+    assert str(tmp_path / "fresh" / "seed_1" / "checkpoint.bin") in doc["message"]
 
 
 def test_missing_config_error_json(capsys):

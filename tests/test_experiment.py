@@ -210,7 +210,8 @@ class TestPipeline:
         # the last layer starts at zero, so an untrained model scores every
         # pair exactly 0.5, a reject: both accept cells are empty
         pipe = prepare(tiny_cfg(tmp_path), 1)
-        doc = experiment.eval_step(pipe, comparator.ComparatorModel(pipe.comparator_cfg))
+        pipe.model = comparator.ComparatorModel(pipe.comparator_cfg)
+        doc = experiment.eval_step(pipe)
         json.dumps(doc, allow_nan=False)
         assert doc["confusion"]["tp"] == doc["confusion"]["fp"] == 0
         assert doc["mean_confidence"]["correctly_accept"] is None
@@ -273,6 +274,10 @@ class TestPipeline:
         ("rerank", {"n_neighbors": 7}, "evaluation"),  # 6 train records per class
         ("synthetic", {**TINY, "tau": float("nan")}, "classifier"),
         ("synthetic", {**TINY, "tau": 0}, "classifier"),
+        ("rerank", {"k": 2.5}, "evaluation"),
+        ("rerank", {"k": 3, "n_neighbors": 1.5}, "evaluation"),
+        ("train", {"epochs": 1.5}, "training"),
+        ("sampler", {"q": 2.5}, "sampling"),
     ])
     def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
                                                        section, bad, stage):
@@ -286,6 +291,20 @@ class TestPipeline:
         assert info.value.stage == stage
         with pytest.raises(StageError, match=stage):
             prepare(cfg, 1)
+
+    @pytest.mark.parametrize("section, field, value, low", [
+        ("rerank", "k", 2.5, 1), ("train", "epochs", True, 1), ("sampler", "q", "3", 2),
+    ])
+    def test_integer_field_error_names_the_field(self, tmp_path, section, field, value, low):
+        # a bool is no integer here, although True passes `epochs >= 1`
+        with pytest.raises(StageError, match=f"{field} must be an integer >= {low}, "
+                                             f"got {value!r}"):
+            prepare(tiny_cfg(tmp_path, **{section: {field: value}}), 1)
+
+    @pytest.mark.parametrize("given", ["manifest_path", "payload_path"])
+    def test_manifest_and_payload_set_together(self, tmp_path, given):
+        with pytest.raises(ValueError, match="manifest_path and payload_path"):
+            tiny_cfg(tmp_path, **{given: str(tmp_path / "store")})
 
     def test_n_neighbors_checked_against_subsampled_class(self, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):
@@ -371,9 +390,18 @@ class TestRun:
         record_calls(monkeypatch, SyntheticClassifier, "predict_split", calls)
         record_calls(monkeypatch, pairsampler, "sample_train", calls)
         record_calls(monkeypatch, pairsampler, "sample_eval", calls)
+        record_calls(monkeypatch, comparator, "train", calls)
+        record_calls(monkeypatch, comparator, "load_checkpoint", calls)
         run_seed(tiny_cfg(tmp_path), 1, str(tmp_path / "out" / "seed_1"))
         assert Counter(calls) == {"build": 1, "predict_split": 2, "sample_train": 1,
-                                  "sample_eval": 1}
+                                  "sample_eval": 1, "train": 1, "load_checkpoint": 1}
+
+    def test_run_seed_writes_into_the_seed_directory_by_default(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, train={"epochs": 1, "batch_size": 64, "max_lr": 0.02})
+        results = run_seed(cfg, 3)
+        on_disk = json.loads((tmp_path / "out" / "seed_3" / "results.json").read_text())
+        assert on_disk["seed"] == results["seed"] == 3
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["seed_3"]
 
     def test_reload_checkpoint_reproduces_scores(self, tmp_path):
         from pcnn.comparator import load_checkpoint

@@ -16,7 +16,10 @@ directory:
   `ingest` and `index` at the `posttrain_cli` benchmark shape. `index` runs
   three times: for a test query, and for a train query, globally and in its
   own class, where it must skip itself. Each run's exit code, stdout and
-  stderr go to `cli/stdout/<name>.json`.
+  stderr go to `cli/stdout/<name>.json`;
+- `sweep`: `pcnn sweep` (`experiment.run`) at the c10 config with seeds 7
+  and 8: both seed directories and `summary.json`, its output in
+  `cli/stdout/sweep.json`.
 
 Configs use paths relative to that directory, so their bytes match across
 trees. The two directories are compared byte for byte and one JSON report
@@ -146,6 +149,8 @@ def run_shapes():
     _run_cli(cli, "index", [*files, "--query-id", str(test_id), "--k", "5"])
     _run_cli(cli, "index", train, "index_train")
     _run_cli(cli, "index", [*train, "--class-id", str(train_class)], "index_train_class")
+    sweep = _write_json(Path("sweep/config.json"), {**_C10, "seeds": [7, 8], "output_dir": "sweep"})
+    _run_cli(cli, "sweep", ["--config", sweep])
 
 
 def _run_cli(cli, cmd, argv, name=None):
