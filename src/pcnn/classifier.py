@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomicio import check_blob, sha256, write_blob
+from .validate import check_ints
 
 PROB_SUM_TOL = 1e-4
 # dtype of a probability matrix written by `save_outputs`
@@ -80,6 +81,10 @@ def top_q(probs, q):
 
 
 class SyntheticClassifier:
+    """`corruption_q`, an integer >= 2, is the Q of the top-Q that a
+    corrupted record's swap partner is drawn from; a value above the class
+    count means any other class."""
+
     def __init__(self, centroids, tau, corruption_rate=0.0, corruption_q=10, seed=0):
         if not 0 < tau < np.inf:
             raise ValueError(f"temperature must be positive and finite, got {tau}")
@@ -88,7 +93,8 @@ class SyntheticClassifier:
         self.centroids = np.asarray(centroids, dtype=np.float64)
         self.tau = float(tau)
         self.corruption_rate = float(corruption_rate)
-        self.corruption_q = int(corruption_q)
+        self.corruption_q = corruption_q
+        check_ints(self, corruption_q=2)
         self.seed = int(seed)
 
     def _corrupt(self, probs, split, ids):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .atomicio import check_blob, sha256, write_blob
+from .validate import check_ints, is_int
 
 SPLITS = ("train", "test")
 
@@ -29,12 +30,28 @@ class EmptyClassError(KeyError):
 
 @dataclass
 class DatasetManifest:
+    """A ValueError (or TypeError) names the first field that is not of its
+    type: `tokens` and `depth` integers >= 1, `class_names` a list of
+    strings, and each split's records a list of [record_id, class_id]
+    integer pairs (an integer here is never a bool)."""
+
     dataset: str
     class_names: list  # index = class id
     tokens: int
     depth: int
     records: dict  # split -> list of [record_id, class_id]
     checksum: str
+
+    def __post_init__(self):
+        check_ints(self, tokens=1, depth=1)
+        if not isinstance(self.class_names, list) or not all(
+                isinstance(name, str) for name in self.class_names):
+            raise ValueError(f"class_names must be a list of strings, got {self.class_names!r}")
+        for split in SPLITS:
+            for rec in self.records[split]:
+                if not (isinstance(rec, list) and len(rec) == 2 and all(map(is_int, rec))):
+                    raise ValueError(f"record {rec!r} in split {split} is not a pair of "
+                                     "integers [record_id, class_id]")
 
     @property
     def num_classes(self):
@@ -50,22 +67,32 @@ class DatasetManifest:
         return DatasetManifest(
             dataset=d["dataset"],
             class_names=d["class_names"],
-            tokens=int(d["tokens"]),
-            depth=int(d["depth"]),
-            records={s: [[int(r), int(c)] for r, c in d["records"][s]] for s in SPLITS},
+            tokens=d["tokens"],
+            depth=d["depth"],
+            records={s: d["records"][s] for s in SPLITS},
             checksum=d["checksum"],
         )
 
 
 class EmbeddingStore:
-    """Immutable after import; pooled vectors and labels are always derived.
-    A manifest fault raises an IngestionError naming the manifest file `where`."""
+    """The store of a manifest and its payload bytes (from the files
+    `manifest_where` and `where`, which a fault's IngestionError names);
+    immutable: grids are read-only `<f4` views of the kept bytes, and
+    pooled vectors and labels are derived once."""
 
-    def __init__(self, manifest, grids, where="manifest"):
-        self.manifest = manifest
-        self._grids = grids  # split -> (N, T, D) float64
-        # split -> (N, D) token means; scorers and retrieval index them per call
-        self._pooled = {s: g.mean(axis=1) for s, g in grids.items()}
+    def __init__(self, manifest, payload, where="payload", manifest_where="manifest"):
+        t, d = manifest.tokens, manifest.depth
+        n_train = len(manifest.records["train"])
+        n = n_train + len(manifest.records["test"])
+        check_blob(payload, n * t * d * 4, manifest.checksum, where, IngestionError)
+        self.manifest, self._payload = manifest, bytes(payload)
+        flat = np.frombuffer(self._payload, dtype="<f4").reshape(n, t, d)
+        self._grids = dict(zip(SPLITS, np.split(flat, [n_train])))  # split -> (N, T, D)
+        for split, block in self._grids.items():
+            if not np.isfinite(block).all():
+                raise IngestionError(f"{where}: non-finite value in split {split}")
+        # split -> (N, D) float64 token means; scorers and retrieval index them per call
+        self._pooled = {s: g.mean(axis=1, dtype=np.float64) for s, g in self._grids.items()}
         # split -> (N,) record ids and (N,) class ids, in manifest order
         records = {s: np.array(manifest.records[s], dtype=np.int64).reshape(-1, 2)
                    for s in SPLITS}
@@ -79,12 +106,13 @@ class EmbeddingStore:
             ascending = self._ids[split][order]
             dup = ascending[1:][ascending[1:] == ascending[:-1]]
             if len(dup):
-                raise IngestionError(f"{where}: duplicate record id {dup[0]} in split {split}")
+                raise IngestionError(
+                    f"{manifest_where}: duplicate record id {dup[0]} in split {split}")
             labels = self._labels[split]
             bad = ((labels < 0) | (labels >= manifest.num_classes)).nonzero()[0]
             if len(bad):
-                raise IngestionError(f"{where}: unknown class id {labels[bad[0]]} for record "
-                                     f"{self._ids[split][bad[0]]} in split {split}")
+                raise IngestionError(f"{manifest_where}: unknown class id {labels[bad[0]]} for "
+                                     f"record {self._ids[split][bad[0]]} in split {split}")
 
     # ---- queries -------------------------------------------------------
 
@@ -135,21 +163,6 @@ class EmbeddingStore:
     # ---- ingest / export ----------------------------------------------
 
     @staticmethod
-    def from_payload(manifest, payload, where="payload", manifest_where="manifest"):
-        """The store of a manifest and its payload bytes (from the files
-        `manifest_where` and `where`)."""
-        t, d = manifest.tokens, manifest.depth
-        n_train = len(manifest.records["train"])
-        n = n_train + len(manifest.records["test"])
-        check_blob(payload, n * t * d * 4, manifest.checksum, where, IngestionError)
-        flat = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(n, t, d)
-        grids = dict(zip(SPLITS, np.split(flat, [n_train])))
-        for split, block in grids.items():
-            if not np.isfinite(block).all():
-                raise IngestionError(f"{where}: non-finite value in split {split}")
-        return EmbeddingStore(manifest, grids, manifest_where)
-
-    @staticmethod
     def load(manifest_path, payload_path):
         with open(manifest_path) as fh:
             try:
@@ -158,41 +171,31 @@ class EmbeddingStore:
                 raise IngestionError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
         with open(payload_path, "rb") as fh:
             payload = fh.read()
-        return EmbeddingStore.from_payload(manifest, payload, payload_path, manifest_path)
+        return EmbeddingStore(manifest, payload, payload_path, manifest_path)
 
     def export_payload(self):
-        return _payload(self._grids)
+        return self._payload
 
     def save(self, manifest_path, payload_path):
         write_blob(payload_path, self.export_payload(), manifest_path, self.manifest.to_json())
 
 
-def _payload(grids):
-    """The payload bytes of split -> (N, T, D) grids, in the layout above."""
-    return b"".join(grids[s].astype("<f4").tobytes() for s in SPLITS)
-
-
 def build_store(dataset, class_names, records, grids_by_split):
-    """Assemble a store from in-memory data, computing the checksum.
+    """The store of in-memory data: the grids encoded as its `<f4` payload,
+    whose checksum the manifest records.
 
     records: split -> list of (record_id, class_id), order defines the payload.
     grids_by_split: split -> (N, T, D) float array.
     """
     any_split = next(s for s in SPLITS if len(records[s]))
     t, d = np.asarray(grids_by_split[any_split]).shape[1:3]
-    grids = {
-        s: np.ascontiguousarray(np.asarray(grids_by_split[s], dtype=np.float64).reshape(-1, t, d))
-        for s in SPLITS
-    }
-    payload = _payload(grids)
+    payload = b"".join(np.asarray(grids_by_split[s], dtype="<f4").tobytes() for s in SPLITS)
     manifest = DatasetManifest(
         dataset=dataset,
         class_names=list(class_names),
-        tokens=int(t),
-        depth=int(d),
+        tokens=t,
+        depth=d,
         records={s: [[int(r), int(c)] for r, c in records[s]] for s in SPLITS},
         checksum=sha256(payload),
     )
-    # round through f32 so in-memory grids equal a reloaded store bitwise
-    f32 = {s: grids[s].astype(np.float32).astype(np.float64) for s in SPLITS}
-    return EmbeddingStore(manifest, f32)
+    return EmbeddingStore(manifest, payload)

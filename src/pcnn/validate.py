@@ -1,13 +1,18 @@
-"""The rule every config class applies to its integer fields."""
+"""The rule every config class, and the store manifest, applies to its
+integer fields."""
 
 import numbers
 
 
+def is_int(value):
+    """An integer here is a `numbers.Integral` that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_ints(obj, **lows):
     """Raise ValueError naming the first field of `obj` in `lows` that is not
-    an integer (a `numbers.Integral` that is not a bool) at or above its
-    minimum."""
+    an integer (`is_int`) at or above its minimum."""
     for name, low in lows.items():
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        if not is_int(value) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

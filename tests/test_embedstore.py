@@ -30,6 +30,31 @@ def test_roundtrip_bitwise(small_store, tmp_path):
     np.testing.assert_array_equal(loaded.grids("train"), store.grids("train"))
 
 
+def test_built_and_loaded_stores_hold_the_same_read_only_f4_grids(small_store, tmp_path):
+    """`build_store` and `load` are one path: both decode the payload bytes."""
+    store, _ = small_store
+    store.save(tmp_path / "m.json", tmp_path / "p.bin")
+    loaded = EmbeddingStore.load(tmp_path / "m.json", tmp_path / "p.bin")
+    assert loaded.export_payload() == store.export_payload()
+    for split in SPLITS:
+        for s in (store, loaded):
+            grids = s.grids(split)
+            assert grids.dtype == np.dtype("<f4") and not grids.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                grids[0, 0, 0] = 1.0
+        assert loaded.grids(split).tobytes() == store.grids(split).tobytes()
+        assert loaded.pooled_all(split).tobytes() == store.pooled_all(split).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_build_store_rejects_a_non_finite_grid(value):
+    grid = np.zeros((1, 2, 3))
+    grid[0, 1, 2] = value
+    with pytest.raises(IngestionError, match="^payload: non-finite value in split train$"):
+        build_store("x", ["a"], {"train": [(0, 0)], "test": []},
+                    {"train": grid, "test": np.empty((0, 2, 3))})
+
+
 def test_rows_index_grids(small_store):
     store, _ = small_store
     ids = store.ids("test")[::-2]
@@ -105,7 +130,7 @@ def test_duplicate_record_id_names_id_and_split(small_store):
     manifest = DatasetManifest.from_json(store.manifest.to_json())
     manifest.records["test"][3][0] = manifest.records["test"][5][0]
     with pytest.raises(IngestionError, match="duplicate record id 5 in split test"):
-        EmbeddingStore.from_payload(manifest, store.export_payload())
+        EmbeddingStore(manifest, store.export_payload())
 
 
 def test_labels_are_the_manifest_classes_derived_once(small_store):
@@ -144,7 +169,7 @@ def test_truncated_payload_reports_offset(small_store):
     rec_bytes = store.manifest.tokens * store.manifest.depth * 4
     short = payload[:-rec_bytes]
     with pytest.raises(IngestionError, match=str(len(short))):
-        EmbeddingStore.from_payload(store.manifest, short)
+        EmbeddingStore(store.manifest, short)
 
 
 def test_checksum_mismatch(small_store):
@@ -152,7 +177,7 @@ def test_checksum_mismatch(small_store):
     payload = bytearray(store.export_payload())
     payload[0] ^= 0xFF
     with pytest.raises(IngestionError, match="checksum"):
-        EmbeddingStore.from_payload(store.manifest, bytes(payload))
+        EmbeddingStore(store.manifest, bytes(payload))
 
 
 class TestLoadNamesTheFile:
@@ -188,6 +213,25 @@ class TestLoadNamesTheFile:
         with pytest.raises(IngestionError, match=f"{manifest}: malformed manifest"):
             EmbeddingStore.load(manifest, payload)
 
+    @pytest.mark.parametrize("fields, record, message", [
+        ({"tokens": 2.5}, None, "tokens must be an integer >= 1, got 2.5"),
+        ({"tokens": "2"}, None, "tokens must be an integer >= 1, got '2'"),
+        ({"tokens": -2, "depth": -4}, None, "tokens must be an integer >= 1, got -2"),
+        ({"class_names": "abc"}, None, "class_names must be a list of strings, got 'abc'"),
+        ({}, [0.5, 0], "record [0.5, 0] in split train is not a pair of integers"),
+        ({}, [0, True], "record [0, True] in split train is not a pair of integers"),
+    ], ids=["tokens-float", "tokens-str", "negative-shape", "class-names-str",
+            "record-id-float", "class-id-bool"])
+    def test_manifest_fields_are_checked_not_truncated(self, saved, fields, record, message):
+        manifest, payload = saved
+        doc = {**json.loads(manifest.read_text()), **fields}
+        if record is not None:
+            doc["records"]["train"][0] = record
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(manifest))}: malformed "
+                                                 f"manifest .*{re.escape(message)}"):
+            EmbeddingStore.load(manifest, payload)
+
     @pytest.mark.parametrize("split, row, column, value, message", [
         ("train", 0, 1, 99, "unknown class id 99 for record 0 in split train"),
         ("test", 3, 0, 5, "duplicate record id 5 in split test"),
@@ -207,7 +251,7 @@ def test_unknown_class_id(small_store):
     manifest = DatasetManifest.from_json(store.manifest.to_json())
     manifest.records["train"][0][1] = 99
     with pytest.raises(IngestionError, match="class id 99"):
-        EmbeddingStore.from_payload(manifest, store.export_payload())
+        EmbeddingStore(manifest, store.export_payload())
 
 
 class TestPooled:
@@ -234,7 +278,8 @@ class TestPooled:
         grid = rng.normal(size=(5, 7))
         records = {"train": [(0, 0)], "test": []}
         store = build_store("x", ["a"], records, {"train": grid[None], "test": np.empty((0, 5, 7))})
-        brute = np.array([np.mean(store.grid("train", 0)[:, j]) for j in range(7)])
+        brute = np.array([np.mean(store.grid("train", 0)[:, j], dtype=np.float64)
+                          for j in range(7)])
         np.testing.assert_allclose(store.pooled("train", 0), brute, atol=1e-12)
 
     @given(st.integers(0, 2**31 - 1))
@@ -253,7 +298,7 @@ class TestPooled:
         for split in ("train", "test"):
             pooled = store.pooled_all(split)
             for row, rid in enumerate(store.ids(split)):
-                want = store.grid(split, rid).mean(axis=0)
+                want = store.grid(split, rid).mean(axis=0, dtype=np.float64)
                 np.testing.assert_array_equal(pooled[row], want)
             with pytest.raises(ValueError):
                 pooled[0, 0] = 1.0

@@ -278,6 +278,9 @@ class TestPipeline:
         ("rerank", {"k": 3, "n_neighbors": 1.5}, "evaluation"),
         ("train", {"epochs": 1.5}, "training"),
         ("sampler", {"q": 2.5}, "sampling"),
+        ("synthetic", {**TINY, "corruption_q": 1.5}, "classifier"),
+        ("synthetic", {**TINY, "corruption_q": 0}, "classifier"),
+        ("synthetic", {**TINY, "corruption_q": True}, "classifier"),
     ])
     def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
                                                        section, bad, stage):

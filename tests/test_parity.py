@@ -1,5 +1,9 @@
 import importlib.util
+import json
+import platform
 from pathlib import Path
+
+import numpy as np
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 _SPEC = importlib.util.spec_from_file_location("parity", _PATH)
@@ -34,3 +38,16 @@ def test_identical_trees_report_nothing(tmp_path):
     files = {"a/b.bin": bytes(range(256)), "c.txt": b"x\n"}
     report = parity.compare_trees(_tree(tmp_path / "ours", files), _tree(tmp_path / "theirs", files))
     assert report == {"files": 2, "identical": 2, "differ": [], "missing": [], "unexpected": []}
+
+
+def test_environment_reports_versions_blas_and_thread_variables(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    env = parity.environment()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                   "blas": {"name": blas["name"], "version": blas["version"]},
+                   "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                               "MKL_NUM_THREADS": "3"}}
+    assert json.loads(json.dumps(env)) == env

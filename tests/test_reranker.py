@@ -417,8 +417,8 @@ class TestScorers:
         store = grid_store(rng.normal(size=(4, 2, 4)), rng.normal(size=(6, 2, 4)))
         rows1, rows2 = np.array([3, 0, 3, 1]), np.array([5, 5, 2, 0])
         s = CosineScorer().score(rows1, rows2, store=store, query_split="test")
-        a = store.grids("test")[rows1].mean(axis=1)
-        b = store.grids("train")[rows2].mean(axis=1)
+        a = store.grids("test")[rows1].mean(axis=1, dtype=np.float64)
+        b = store.grids("train")[rows2].mean(axis=1, dtype=np.float64)
         want = 0.5 * (1 + np.sum(a * b, axis=1)
                       / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)))
         np.testing.assert_allclose(s, want, rtol=1e-12)

@@ -24,8 +24,12 @@ directory:
 Configs use paths relative to that directory, so their bytes match across
 trees. The two directories are compared byte for byte and one JSON report
 is printed: the files compared, the identical count, each differing or
-missing file with its first differing line, and `src_diff`, the
-`git diff --shortstat REV -- src` line that gives the size of the change.
+missing file with its first differing line, `src_diff`, the
+`git diff --shortstat REV -- src` line that gives the size of the change,
+and `env`, where the trees ran: the Python and numpy versions, numpy's BLAS
+and the BLAS thread variables, since the thread count can change the last
+bits of float outputs (the report only; nothing is written into the
+compared directories).
 The exit code is 1 when a file differs or is missing and `--expect-diff`
 (paths relative to the output directory, e.g. `c10/seed_7/checkpoint.bin`)
 does not list it, 2 when a tree cannot run the shapes, and 0 otherwise.
@@ -36,10 +40,13 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,6 +113,16 @@ def compare_trees(ours, theirs, expect_diff=()):
     return {"files": len(mine | other), "identical": len(mine | other) - len(moved),
             "differ": differ, "missing": missing,
             "unexpected": [name for name in moved if name not in set(expect_diff)]}
+
+
+def environment():
+    """The report's `env`: Python and numpy versions, the name and version of
+    numpy's BLAS, and each BLAS thread variable (None when unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {name: os.environ.get(name)
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 # ---------------------------------------------------------------- shapes
@@ -213,7 +230,7 @@ def main(argv=None):
     src_diff = subprocess.run([*git, "diff", "--shortstat", commit, "--", "src"],
                               check=True, capture_output=True, text=True).stdout.strip()
     print(json.dumps({"against": args.against, "commit": commit, "outputs": str(work),
-                      "src_diff": src_diff, **report}, indent=2))
+                      "src_diff": src_diff, "env": environment(), **report}, indent=2))
     return 1 if report["unexpected"] else 0
 
 
