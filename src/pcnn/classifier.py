@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomicio import check_blob, sha256, write_blob
-from .validate import check_ints
+from .validate import check_ints, check_reals
 
 PROB_SUM_TOL = 1e-4
 # dtype of a probability matrix written by `save_outputs`
@@ -86,15 +86,10 @@ class SyntheticClassifier:
     count means any other class."""
 
     def __init__(self, centroids, tau, corruption_rate=0.0, corruption_q=10, seed=0):
-        if not 0 < tau < np.inf:
-            raise ValueError(f"temperature must be positive and finite, got {tau}")
-        if not 0 <= corruption_rate <= 1:
-            raise ValueError("corruption rate must be in [0, 1]")
         self.centroids = np.asarray(centroids, dtype=np.float64)
-        self.tau = float(tau)
-        self.corruption_rate = float(corruption_rate)
-        self.corruption_q = corruption_q
+        self.tau, self.corruption_rate, self.corruption_q = tau, corruption_rate, corruption_q
         check_ints(self, corruption_q=2)
+        check_reals(self, tau="(0, inf)", corruption_rate="[0, 1]")
         self.seed = int(seed)
 
     def _corrupt(self, probs, split, ids):

@@ -16,7 +16,7 @@ import numpy as np
 from . import numkernel as nk
 from .atomicio import check_blob, sha256, write_blob
 from .pairsampler import POSITIVE, pairset_rows
-from .validate import check_ints
+from .validate import check_ints, check_reals
 
 class TrainingError(RuntimeError):
     pass
@@ -36,8 +36,7 @@ class ComparatorConfig:
     def __post_init__(self):
         check_ints(self, depth=1, tokens=1, heads=1, mlp_hidden=1, blocks=0,
                    cross_layers=0, self_layers=0)
-        if not 0 <= self.jitter_sigma < math.inf:
-            raise ValueError("jitter_sigma must be finite and >= 0")
+        check_reals(self, jitter_sigma="[0, inf)")
         if self.blocks > 0 and self.depth % self.heads != 0:
             raise nk.ConfigError(
                 f"depth {self.depth} not divisible by {self.heads} heads"
@@ -382,14 +381,9 @@ class TrainConfig:
     final_div_factor: float = 1e4
 
     def __post_init__(self):
-        check_ints(self, epochs=1, batch_size=2)  # batch norm needs 2 rows
-        if not 0 <= self.warmup_fraction < 1:
-            raise ValueError("warmup fraction must be in [0, 1)")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        for name in ("max_lr", "div_factor", "final_div_factor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
+        check_ints(self, epochs=1, batch_size=2, seed=0)  # batch norm needs 2 rows
+        check_reals(self, warmup_fraction="[0, 1)", momentum="[0, 1)", max_lr="(0, inf)",
+                    div_factor="(0, inf)", final_div_factor="(0, inf)")
 
 
 @dataclass

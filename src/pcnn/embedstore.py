@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .atomicio import check_blob, sha256, write_blob
-from .validate import check_ints, is_int
+from .validate import check_ints, is_int64
 
 SPLITS = ("train", "test")
 
@@ -33,7 +33,7 @@ class DatasetManifest:
     """A ValueError (or TypeError) names the first field that is not of its
     type: `tokens` and `depth` integers >= 1, `class_names` a list of
     strings, and each split's records a list of [record_id, class_id]
-    integer pairs (an integer here is never a bool)."""
+    pairs of integers that int64 holds (an integer here is never a bool)."""
 
     dataset: str
     class_names: list  # index = class id
@@ -49,9 +49,9 @@ class DatasetManifest:
             raise ValueError(f"class_names must be a list of strings, got {self.class_names!r}")
         for split in SPLITS:
             for rec in self.records[split]:
-                if not (isinstance(rec, list) and len(rec) == 2 and all(map(is_int, rec))):
+                if not (isinstance(rec, list) and len(rec) == 2 and all(map(is_int64, rec))):
                     raise ValueError(f"record {rec!r} in split {split} is not a pair of "
-                                     "integers [record_id, class_id]")
+                                     "integers [record_id, class_id] within int64")
 
     @property
     def num_classes(self):

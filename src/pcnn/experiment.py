@@ -27,6 +27,7 @@ from .nnindex import ClassIndex, kept_per_class
 from .pairsampler import SamplerConfig
 from .reranker import ModelScorer, RerankConfig
 from .synthgen import SyntheticSpec, synth_gen
+from .validate import check_reals, is_int
 
 
 class StageError(RuntimeError):
@@ -62,10 +63,11 @@ class ExperimentConfig:
     subsample_fraction: float = 1.0
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seed list must be non-empty")
-        if not 0 < self.subsample_fraction <= 1:
-            raise ValueError("subsample fraction must be in (0, 1]")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(is_int(seed) and seed >= 0 for seed in self.seeds)):
+            raise ValueError(f"seeds must be a non-empty list of integers >= 0, "
+                             f"got {self.seeds!r}")
+        check_reals(self, subsample_fraction="(0, 1]")
         if (self.manifest_path is None) != (self.payload_path is None):
             raise ValueError("manifest_path and payload_path must be set together")
 

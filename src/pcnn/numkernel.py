@@ -169,33 +169,16 @@ def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
-    stacked_weight = a.data.ndim > 2 and b.data.ndim == 2
-    if not stacked_weight and (a.data.ndim > 2 or b.data.ndim > 2):
-        if a.data.shape[:-2] != b.data.shape[:-2]:
-            raise ShapeError(
-                f"matmul: batch dims differ, {a.data.shape} @ {b.data.shape}"
-            )
-    if stacked_weight:
-        # one 2-D GEMM instead of a batch of small ones
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        out_data = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
-    else:
-        out_data = a.data @ b.data
+    if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
+        raise ShapeError(f"matmul: batch dims differ, {a.data.shape} @ {b.data.shape}")
 
     def back(g):
-        if stacked_weight:
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                _accum(b, a2.T @ g2)
-            return
         if a.requires_grad:
             _accum(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
-    return _make(out_data, (a, b), back)
+    return _make(a.data @ b.data, (a, b), back)
 
 
 def reshape(a, shape):

@@ -33,7 +33,7 @@ class SamplerConfig:
     seed: int = 42
 
     def __post_init__(self):
-        check_ints(self, q=2, nn_rank=1)
+        check_ints(self, q=2, nn_rank=1, seed=0)
         if self.negative_mode not in ("hard_topQ", "random_class"):
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
 

@@ -18,7 +18,7 @@ import numpy as np
 from .atomicio import atomic_open
 from .classifier import top_q
 from .comparator import score_rows
-from .validate import check_ints
+from .validate import check_ints, check_reals
 
 
 @dataclass
@@ -29,8 +29,7 @@ class RerankConfig:
 
     def __post_init__(self):
         check_ints(self, k=1, n_neighbors=1)
-        if not 0 <= self.prob_floor < 1:
-            raise ValueError("probability floor must be in [0, 1)")
+        check_reals(self, prob_floor="[0, 1)")
 
 
 _TABLE_ARRAYS = ("query_ids", "classes", "probs", "wanted", "neighbors", "s_scores")

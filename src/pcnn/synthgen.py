@@ -11,13 +11,12 @@ each split's token noise is one draw, so record i's grid is the i-th
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedstore import build_store
-from .validate import check_ints
+from .validate import check_ints, check_reals
 
 
 @dataclass
@@ -40,11 +39,8 @@ class SyntheticSpec:
                    test_per_class=0, groups=1)
         if self.groups > self.classes:
             raise ValueError("groups must be in 1..classes")
-        for name in ("separation", "group_spread"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-        if not 0 <= self.token_noise < math.inf:
-            raise ValueError("token_noise must be finite and >= 0")
+        check_reals(self, separation="(0, inf)", group_spread="(0, inf)",
+                    token_noise="[0, inf)")
 
 
 def _min_distance(points):

@@ -1,5 +1,6 @@
-"""The rule every config class, and the store manifest, applies to its
-integer fields."""
+"""The rules every config class, and the store manifest, applies to its
+numeric fields: an integer at or above a minimum, or a real number inside an
+interval. A field is checked, never converted, and a bool is neither."""
 
 import numbers
 
@@ -9,6 +10,16 @@ def is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_int64(value):
+    """An integer (`is_int`) that an int64 array can hold."""
+    return is_int(value) and -2**63 <= value < 2**63
+
+
+def is_real(value):
+    """A real number here is a `numbers.Real` that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_ints(obj, **lows):
     """Raise ValueError naming the first field of `obj` in `lows` that is not
     an integer (`is_int`) at or above its minimum."""
@@ -16,3 +27,16 @@ def check_ints(obj, **lows):
         value = getattr(obj, name)
         if not is_int(value) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_reals(obj, **intervals):
+    """Raise ValueError naming the first field of `obj` in `intervals` that is
+    not a real number (`is_real`) inside its interval, written as "[0, 1)" or
+    "(0, inf)". NaN lies in no interval, and an open end excludes infinity."""
+    for name, interval in intervals.items():
+        value = getattr(obj, name)
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        if not (is_real(value)
+                and (low <= value if interval[0] == "[" else low < value)
+                and (value <= high if interval[-1] == "]" else value < high)):
+            raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")

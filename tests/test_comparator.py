@@ -500,7 +500,8 @@ class TestNonFiniteState:
 class TestConfigChecks:
     @pytest.mark.parametrize("field, value", [
         ("mlp_hidden", 0), ("heads", 0), ("depth", 0), ("self_layers", -1),
-        ("jitter_sigma", -1.0), ("jitter_sigma", float("nan")),
+        ("jitter_sigma", -1.0), ("jitter_sigma", float("nan")), ("jitter_sigma", True),
+        ("jitter_sigma", "0.1"), ("jitter_sigma", None),
     ])
     def test_comparator_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -508,7 +509,9 @@ class TestConfigChecks:
 
     @pytest.mark.parametrize("field, value", [
         ("momentum", -1.0), ("momentum", 1.0), ("max_lr", float("nan")), ("max_lr", 0.0),
-        ("div_factor", float("inf")), ("final_div_factor", -1.0),
+        ("div_factor", float("inf")), ("final_div_factor", -1.0), ("max_lr", True),
+        ("momentum", False), ("warmup_fraction", "0.3"), ("final_div_factor", None),
+        ("seed", -1), ("seed", True),
     ])
     def test_train_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):

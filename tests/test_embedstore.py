@@ -220,8 +220,10 @@ class TestLoadNamesTheFile:
         ({"class_names": "abc"}, None, "class_names must be a list of strings, got 'abc'"),
         ({}, [0.5, 0], "record [0.5, 0] in split train is not a pair of integers"),
         ({}, [0, True], "record [0, True] in split train is not a pair of integers"),
+        ({}, [2**70, 0], f"record [{2**70}, 0] in split train is not a pair of integers"),
+        ({}, [0, -2**70], f"record [0, {-2**70}] in split train is not a pair of integers"),
     ], ids=["tokens-float", "tokens-str", "negative-shape", "class-names-str",
-            "record-id-float", "class-id-bool"])
+            "record-id-float", "class-id-bool", "record-id-over-int64", "class-id-under-int64"])
     def test_manifest_fields_are_checked_not_truncated(self, saved, fields, record, message):
         manifest, payload = saved
         doc = {**json.loads(manifest.read_text()), **fields}

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcnn import comparator, experiment, pairsampler
 from pcnn.classifier import SyntheticClassifier
@@ -17,6 +21,7 @@ from pcnn.experiment import (
 )
 from pcnn.nnindex import ClassIndex
 from pcnn.synthgen import SyntheticSpec, make_centroids, synth_gen
+from pcnn.validate import is_int
 
 from conftest import record_calls
 
@@ -165,6 +170,8 @@ class TestSynthGen:
         ("separation", float("nan")), ("separation", float("inf")), ("separation", -1.0),
         ("group_spread", 0.0), ("group_spread", float("nan")),
         ("token_noise", float("nan")), ("token_noise", -0.1), ("token_noise", float("inf")),
+        ("separation", True), ("group_spread", "8"), ("token_noise", None),
+        ("token_noise", False),
     ])
     def test_spec_rejects_bad_field(self, tmp_path, name, value):
         with pytest.raises(ValueError, match=name):
@@ -281,6 +288,17 @@ class TestPipeline:
         ("synthetic", {**TINY, "corruption_q": 1.5}, "classifier"),
         ("synthetic", {**TINY, "corruption_q": 0}, "classifier"),
         ("synthetic", {**TINY, "corruption_q": True}, "classifier"),
+        ("synthetic", {**TINY, "corruption_rate": True}, "classifier"),
+        ("synthetic", {**TINY, "tau": "1.0"}, "classifier"),
+        ("synthetic", {**TINY, "corruption_rate": None}, "classifier"),
+        ("comparator", {"jitter_sigma": True}, "training"),
+        ("train", {"momentum": "0.5"}, "training"),
+        ("train", {"max_lr": None, "epochs": 1}, "training"),
+        ("train", {"seed": -1}, "training"),
+        ("rerank", {"prob_floor": False}, "evaluation"),
+        ("rerank", {"prob_floor": "0.1"}, "evaluation"),
+        ("rerank", {"prob_floor": None}, "evaluation"),
+        ("sampler", {"seed": True}, "sampling"),
     ])
     def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
                                                        section, bad, stage):
@@ -340,8 +358,15 @@ class TestPipeline:
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
     def test_subsample_fraction_out_of_range_rejected(self, fraction):
         text = json.dumps({"synthetic": dict(TINY), "subsample_fraction": fraction})
-        with pytest.raises(ValueError, match="subsample fraction"):
+        with pytest.raises(ValueError, match="subsample_fraction"):
             ExperimentConfig.from_json(text)
+
+    @pytest.mark.parametrize("seeds", [[], [True], ["1"], [-1], [1.5], 3])
+    def test_seeds_must_be_integers_at_least_zero(self, seeds):
+        # `[True]` would otherwise run seed 1 into seed_True/
+        with pytest.raises(ValueError, match=re.escape(
+                f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")):
+            ExperimentConfig(seeds=seeds)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -354,6 +379,90 @@ class TestPipeline:
         )
         loaded = ExperimentConfig.from_json(text)
         assert loaded.seeds == [3]
+
+
+# Every numeric config field: (section, field) -> (values that run, values out
+# of range). "" is the top level of ExperimentConfig. Each field is also drawn
+# with every `NOT_A_NUMBER` value, and an integer field with a float.
+CONFIG_SPACE = {
+    ("synthetic", "separation"): ([0.5, 2], [0, -1.0]),
+    ("synthetic", "group_spread"): ([1, 4.0], [0.0, -2]),
+    ("synthetic", "token_noise"): ([0.05, 1], [-0.1]),
+    ("synthetic", "tau"): ([0.5, 3], [0, -1.0]),
+    ("synthetic", "corruption_rate"): ([0, 0.5, 1], [-0.1, 1.5]),
+    ("synthetic", "corruption_q"): ([2, 4], [1]),
+    ("synthetic", "groups"): ([1, 4], [0, 5]),  # 4 classes
+    ("sampler", "q"): ([2, 3], [1]),
+    ("sampler", "nn_rank"): ([1, 2], [0]),
+    ("sampler", "seed"): ([0, 5], [-1]),
+    ("comparator", "heads"): ([1, 4], [0, 3]),  # depth 8
+    ("comparator", "mlp_hidden"): ([1, 16], [0]),
+    ("comparator", "jitter_sigma"): ([0, 0.05], [-0.1]),
+    ("train", "batch_size"): ([2, 64], [1]),
+    ("train", "seed"): ([0, 9], [-1]),
+    ("train", "momentum"): ([0, 0.5], [1, -0.1]),
+    ("train", "max_lr"): ([0.01, 1], [0, -1.0]),
+    ("train", "warmup_fraction"): ([0, 0.5], [1, 1.5]),
+    ("train", "div_factor"): ([1, 25.0], [0]),
+    ("train", "final_div_factor"): ([1, 1e4], [0.0]),
+    ("rerank", "k"): ([1, 4], [0]),
+    ("rerank", "n_neighbors"): ([1, 3], [0, 7]),  # 6 train records per class
+    ("rerank", "prob_floor"): ([0, 0.2], [1, -0.1]),
+    ("", "subsample_fraction"): ([0.7, 1], [0, 1.5]),
+    ("", "seeds"): ([[0], [3, 4]], [[], [True], ["1"], [-1], [1.0], 1]),
+}
+NOT_A_NUMBER = [True, False, "0.5", None, float("nan"), float("inf"), float("-inf")]
+
+
+def _numbers(doc):
+    """Every number in a JSON document, in one flat list."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in _numbers(item)]
+    return [doc]
+
+
+@st.composite
+def config_cases(draw):
+    """(section, field, value, whether the value is valid)."""
+    section, name = draw(st.sampled_from(sorted(CONFIG_SPACE)))
+    valid, out_of_range = CONFIG_SPACE[section, name]
+    invalid = out_of_range + NOT_A_NUMBER
+    if all(is_int(v) for v in valid):
+        invalid.append(float(valid[-1]))
+    value, ok = draw(st.sampled_from([(v, True) for v in valid] + [(v, False) for v in invalid]))
+    return section, name, value, ok
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=config_cases())
+def test_config_space_runs_or_fails_before_training(tmp_path_factory, case):
+    """A valid value runs to finite results; an invalid one fails, as the
+    StageError of its stage (or ExperimentConfig's own ValueError) naming
+    its field, before any comparator is trained."""
+    section, name, value, ok = case
+    doc = {"seeds": [1], "synthetic": dict(TINY), "sampler": {"q": 3},
+           "comparator": {"heads": 2}, "train": {"epochs": 1, "batch_size": 64},
+           "rerank": {"k": 3}}
+    if section:
+        doc[section] = {**doc[section], name: value}
+    else:
+        doc[name] = value
+    out = str(tmp_path_factory.mktemp("config_space"))
+    if ok:
+        results = run_seed(ExperimentConfig(**doc, output_dir=out), 1)
+        assert np.isfinite(_numbers(results)).all()
+        return
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("comparator.train was called")
+
+    with mock.patch.object(comparator, "train", no_training):
+        with pytest.raises((StageError, ValueError)) as info:
+            run_seed(ExperimentConfig(**doc, output_dir=out), 1)
+    assert isinstance(info.value, StageError) or not section
+    assert name in str(info.value)
 
 
 class TestRun:

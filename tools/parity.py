@@ -19,7 +19,12 @@ directory:
   stderr go to `cli/stdout/<name>.json`;
 - `sweep`: `pcnn sweep` (`experiment.run`) at the c10 config with seeds 7
   and 8: both seed directories and `summary.json`, its output in
-  `cli/stdout/sweep.json`.
+  `cli/stdout/sweep.json`;
+- rejected configs: a bool and a string in real fields through `ceiling`,
+  and a bool seed through `sweep`, each with its output in
+  `cli/stdout/bad_<name>.json`, so a change to what is rejected, or how it
+  is named, shows in the report. Whatever a tree that accepts them writes
+  under `cli/bad/out` is removed.
 
 Configs use paths relative to that directory, so their bytes match across
 trees. The two directories are compared byte for byte and one JSON report
@@ -41,6 +46,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -74,6 +80,12 @@ CLI_SEED = 31
 CLI_CONFIG = {"synthetic": {"classes": 20, "train_per_class": 30, "test_per_class": 60},
               "sampler": {"q": 10}, "train": {"epochs": 1, "max_lr": 0.05},
               "rerank": {"k": 10}}
+# name -> (command, config without output_dir) of configs every check must reject
+BAD_CONFIGS = {
+    "jitter_sigma_bool": ("ceiling", {**CLI_CONFIG, "comparator": {"jitter_sigma": True}}),
+    "prob_floor_str": ("ceiling", {**CLI_CONFIG, "rerank": {"k": 10, "prob_floor": "0.1"}}),
+    "seeds_bool": ("sweep", {**_C10, "seeds": [True]}),
+}
 
 
 # ------------------------------------------------------------ comparison
@@ -168,6 +180,10 @@ def run_shapes():
     _run_cli(cli, "index", [*train, "--class-id", str(train_class)], "index_train_class")
     sweep = _write_json(Path("sweep/config.json"), {**_C10, "seeds": [7, 8], "output_dir": "sweep"})
     _run_cli(cli, "sweep", ["--config", sweep])
+    for name, (cmd, config) in BAD_CONFIGS.items():
+        path = _write_json(Path("cli/bad", f"{name}.json"), {**config, "output_dir": "cli/bad/out"})
+        _run_cli(cli, cmd, ["--config", path], f"bad_{name}")
+    shutil.rmtree("cli/bad/out", ignore_errors=True)
 
 
 def _run_cli(cli, cmd, argv, name=None):
