@@ -7,12 +7,17 @@ Trained with momentum SGD under a one-cycle learning-rate schedule on
 binary cross-entropy; the checkpoint with the best eval F1 is kept.
 """
 
+import ctypes
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import blas
 from . import numkernel as nk
 from .atomicio import check_blob, sha256, write_blob
 from .pairsampler import POSITIVE, pairset_rows
@@ -20,6 +25,28 @@ from .validate import check_ints, check_reals
 
 class TrainingError(RuntimeError):
     pass
+
+
+def _scoring_worker():
+    """The thread that scores next to the caller (`_split`), or None: only
+    with OpenBLAS pinned to one thread, which leaves a core free, and a
+    second CPU to run it on.
+
+    glibc would give the worker a malloc arena of its own, where the
+    temporaries it frees stay resident on top of the caller's (+11% peak RSS
+    on the `posttrain_cli` benchmark), so the process keeps one arena
+    (`mallopt(M_ARENA_MAX, 1)`) and each thread reuses what the other frees.
+    """
+    if not (blas.PINNED and len(os.sched_getaffinity(0)) >= 2):
+        return None
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        libc.mallopt(-8, 1)  # M_ARENA_MAX
+    return ThreadPoolExecutor(1, thread_name_prefix="pcnn-score")
+
+
+_WORKER = _scoring_worker()
 
 
 @dataclass
@@ -329,28 +356,59 @@ def distinct_grids(grids1, rows1, grids2, rows2):
     return np.concatenate([grids1[distinct1], grids2[distinct2]]), at1, at2 + len(distinct1)
 
 
+def _split(count, work):
+    """Run work(i) for i in range(count): the caller takes the even i and, when
+    `_WORKER` is set, the worker thread the odd ones. Returns once both are
+    done, raising the caller's error first."""
+    if _WORKER is None or count < 2:
+        for i in range(count):
+            work(i)
+        return
+    odd = _WORKER.submit(lambda: [work(i) for i in range(1, count, 2)])
+    try:
+        for i in range(0, count, 2):
+            work(i)
+    finally:
+        wait([odd])
+    odd.result()
+
+
 def score_rows(model, grids1, rows1, grids2, rows2, batch_size=256):
     """Eval-mode scores of the pairs (grids1[rows1[i]], grids2[rows2[i]]).
 
     One record set serves the call: each distinct grid goes through
     `model.records` once, `batch_size` grids at a time, and `pair_logits`
-    then runs `batch_size` pairs at a time. The scores are bitwise equal to
-    `model.score_pairs` on the same pair batches.
+    then runs `batch_size` pairs at a time. Both loops split their chunks
+    between the caller and one worker thread (`_split`), each writing its
+    own slice, so the scores are bitwise equal to `model.score_pairs` on the
+    same pair batches. The tape stack is global, so no tape may be active.
     """
+    if nk._TAPES:
+        raise nk.TapeError("score_rows runs outside any tape")
     scores = np.empty(len(rows1))
     if not len(scores):
         return scores
     grids, at1, at2 = distinct_grids(grids1, rows1, grids2, rows2)
-    recs = {}
-    for lo in range(0, len(grids), batch_size):
-        for name, t in model.records(grids[lo : lo + batch_size]).items():
-            if name not in recs:
-                recs[name] = np.empty((len(grids),) + t.shape[1:])
+    recs, allocating = {}, threading.Lock()
+
+    def record_chunk(i):
+        lo = i * batch_size
+        chunk = model.records(grids[lo : lo + batch_size])
+        with allocating:  # the first chunk done sizes every array
+            for name, t in chunk.items():
+                if name not in recs:
+                    recs[name] = np.empty((len(grids),) + t.shape[1:])
+        for name, t in chunk.items():
             recs[name][lo : lo + len(t.data)] = t.data
+
+    _split(math.ceil(len(grids) / batch_size), record_chunk)
     recs = {name: nk.Tensor(a) for name, a in recs.items()}
-    for start in range(0, len(scores), batch_size):
-        sl = slice(start, start + batch_size)
+
+    def pair_batch(i):
+        sl = slice(i * batch_size, (i + 1) * batch_size)
         scores[sl] = nk.sigmoid(model.pair_logits(recs, at1[sl], at2[sl], "eval")).data
+
+    _split(math.ceil(len(scores) / batch_size), pair_batch)
     return scores
 
 
@@ -470,6 +528,7 @@ def train(model, store, train_pairs, eval_pairs, cfg):
             step += 1
         if bad := _non_finite(model.state_arrays()):
             raise TrainingError(f"non-finite parameter {bad!r} after epoch {epoch}")
+        tape = logits = loss = None  # free the last step's graph before scoring
         metrics = evaluate_binary(model, store, eval_pairs, cfg.batch_size)
         row = {
             "epoch": epoch,

@@ -27,7 +27,7 @@ from .nnindex import ClassIndex, kept_per_class
 from .pairsampler import SamplerConfig
 from .reranker import ModelScorer, RerankConfig
 from .synthgen import SyntheticSpec, synth_gen
-from .validate import check_reals, is_int
+from .validate import check_ints, check_reals, is_int
 
 
 class StageError(RuntimeError):
@@ -105,16 +105,18 @@ class Pipeline:
     configs are built then too, so a bad config section fails, as
     StageError naming the stage that reads it, before any stage runs (a
     class with fewer indexed train records than `n_neighbors` fails as
-    "evaluation"); `index`, `out_train`, `out_test`, `train_pairs`,
-    `eval_pairs`, `out`, `trained` and `model` are each built on first read
-    and then kept, so a caller pays only for the stages it reads. Every
-    stage is seeded per record or per query, so build order does not change
-    any output. A stage that fails raises StageError naming it and stays
-    unbuilt.
+    "evaluation"), and a `seed` that is not an integer >= 0 fails as a
+    ValueError naming it before the data stage; `index`, `out_train`,
+    `out_test`, `train_pairs`, `eval_pairs`, `out`, `trained` and `model`
+    are each built on first read and then kept, so a caller pays only for
+    the stages it reads. Every stage is seeded per record or per query, so
+    build order does not change any output. A stage that fails raises
+    StageError naming it and stays unbuilt.
     """
 
     def __init__(self, cfg, seed, out=None):
         self.cfg, self.seed, self._out = cfg, seed, out
+        check_ints(self, seed=0)
         with _stage("data"):
             self.store, self.centroids, self.spec = _build_data(cfg, seed)
         spec = self.spec

@@ -2,6 +2,7 @@
 numeric fields: an integer at or above a minimum, or a real number inside an
 interval. A field is checked, never converted, and a bool is neither."""
 
+import math
 import numbers
 
 
@@ -16,8 +17,14 @@ def is_int64(value):
 
 
 def is_real(value):
-    """A real number here is a `numbers.Real` that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number here is a `numbers.Real` that is not a bool and whose
+    float is finite: NaN, the infinities and 10**400 are not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float's range
+        return False
 
 
 def check_ints(obj, **lows):
@@ -32,7 +39,7 @@ def check_ints(obj, **lows):
 def check_reals(obj, **intervals):
     """Raise ValueError naming the first field of `obj` in `intervals` that is
     not a real number (`is_real`) inside its interval, written as "[0, 1)" or
-    "(0, inf)". NaN lies in no interval, and an open end excludes infinity."""
+    "(0, inf)"."""
     for name, interval in intervals.items():
         value = getattr(obj, name)
         low, high = (float(end) for end in interval[1:-1].split(","))

@@ -350,3 +350,12 @@ def test_sweep(capsys, tmp_path):
     assert doc["seeds"] == [1, 2]
     assert (tmp_path / "out" / "summary.json").exists()
     assert (tmp_path / "out" / "seed_2" / "results.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_negative_seed_fails_naming_seed(cfg_path, capsys, seed):
+    _, path = cfg_path
+    code, out, err = run_cli(capsys, "ceiling", "--config", str(path), "--seed", seed)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"command": "ceiling", "error": "ValueError",
+                               "message": f"seed must be an integer >= 0, got {seed}"}

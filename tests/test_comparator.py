@@ -2,11 +2,15 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pcnn import comparator
 from pcnn import numkernel as nk
 from pcnn.classifier import SyntheticClassifier
 from pcnn.comparator import (
@@ -179,6 +183,61 @@ class TestScoreRows:
         model = self.model(dict(blocks=1))
         grids = np.zeros((2, 3, 8))
         assert score_rows(model, grids, [], grids, []).shape == (0,)
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        """A fresh scoring worker, so the two-thread path runs on any machine,
+        and a short switch interval, so the two threads interleave often."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                monkeypatch.setattr(comparator, "_WORKER", pool)
+                yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_two_threads_bitwise_equal_to_serial(self, worker, shared, monkeypatch):
+        # 19 pairs in 5 batches of 4: the caller scores batches 0, 2 and 4,
+        # the worker 1 and 3; `shared` makes both sides index one array
+        model = self.model(dict(blocks=2))
+        rng = np.random.default_rng(12)
+        grids1 = rng.normal(size=(9, 3, 8))
+        grids2 = grids1 if shared else rng.normal(size=(7, 3, 8))
+        rows1, rows2 = rng.integers(0, 9, size=19), rng.integers(0, len(grids2), size=19)
+        want = self.per_batch(model, grids1, rows1, grids2, rows2, 4)
+        real, scored_on = model.pair_logits, []
+
+        def pair_logits(*args):
+            scored_on.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(model, "pair_logits", pair_logits)
+        got = score_rows(model, grids1, rows1, grids2, rows2, batch_size=4)
+        np.testing.assert_array_equal(got, want)
+        caller = threading.get_ident()
+        assert sorted(t == caller for t in scored_on) == [False, False, True, True, True]
+
+    def test_worker_error_is_raised(self, worker, monkeypatch):
+        model = self.model(dict(blocks=1))
+        grids = np.random.default_rng(13).normal(size=(6, 3, 8))
+        real = model.pair_logits
+
+        def pair_logits(recs, i1, i2, mode):
+            if threading.current_thread() is not threading.main_thread():
+                raise nk.ShapeError("worker batch")
+            return real(recs, i1, i2, mode)
+
+        monkeypatch.setattr(model, "pair_logits", pair_logits)
+        with pytest.raises(nk.ShapeError, match="worker batch"):
+            score_rows(model, grids, np.arange(6), grids, np.arange(6)[::-1], batch_size=2)
+
+    def test_refuses_an_active_tape(self):
+        model = self.model(dict(blocks=1))
+        grids = np.zeros((2, 3, 8))
+        with nk.Tape(), pytest.raises(nk.TapeError):
+            score_rows(model, grids, [0], grids, [1])
 
     def test_branch_rejects_wrong_grid_shape(self):
         model = self.model(dict(blocks=1))

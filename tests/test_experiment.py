@@ -383,7 +383,8 @@ class TestPipeline:
 
 # Every numeric config field: (section, field) -> (values that run, values out
 # of range). "" is the top level of ExperimentConfig. Each field is also drawn
-# with every `NOT_A_NUMBER` value, and an integer field with a float.
+# with every `NOT_A_NUMBER` value, an integer field with a float, and any other
+# field with an integer that no float holds.
 CONFIG_SPACE = {
     ("synthetic", "separation"): ([0.5, 2], [0, -1.0]),
     ("synthetic", "group_spread"): ([1, 4.0], [0.0, -2]),
@@ -431,6 +432,8 @@ def config_cases(draw):
     invalid = out_of_range + NOT_A_NUMBER
     if all(is_int(v) for v in valid):
         invalid.append(float(valid[-1]))
+    else:
+        invalid.append(10**400)
     value, ok = draw(st.sampled_from([(v, True) for v in valid] + [(v, False) for v in invalid]))
     return section, name, value, ok
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
+import pcnn
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 _SPEC = importlib.util.spec_from_file_location("parity", _PATH)
 parity = importlib.util.module_from_spec(_SPEC)
@@ -49,5 +51,8 @@ def test_environment_reports_versions_blas_and_thread_variables(monkeypatch):
     assert env == {"python": platform.python_version(), "numpy": np.__version__,
                    "blas": {"name": blas["name"], "version": blas["version"]},
                    "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
-                               "MKL_NUM_THREADS": "3"}}
+                               "MKL_NUM_THREADS": "3"},
+                   "blas_threads": pcnn.blas.threads()}
+    if pcnn.blas.PINNED:  # what pcnn computes with, whatever the variables say
+        assert env["blas_threads"] == 1
     assert json.loads(json.dumps(env)) == env

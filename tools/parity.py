@@ -31,10 +31,10 @@ trees. The two directories are compared byte for byte and one JSON report
 is printed: the files compared, the identical count, each differing or
 missing file with its first differing line, `src_diff`, the
 `git diff --shortstat REV -- src` line that gives the size of the change,
-and `env`, where the trees ran: the Python and numpy versions, numpy's BLAS
-and the BLAS thread variables, since the thread count can change the last
-bits of float outputs (the report only; nothing is written into the
-compared directories).
+and `env`, where the trees ran: the Python and numpy versions, numpy's BLAS,
+the BLAS thread variables and the BLAS thread count this tree's pcnn
+computes with, which it pins to 1 on import (the report only; nothing is
+written into the compared directories).
 The exit code is 1 when a file differs or is missing and `--expect-diff`
 (paths relative to the output directory, e.g. `c10/seed_7/checkpoint.bin`)
 does not list it, 2 when a tree cannot run the shapes, and 0 otherwise.
@@ -129,12 +129,19 @@ def compare_trees(ours, theirs, expect_diff=()):
 
 def environment():
     """The report's `env`: Python and numpy versions, the name and version of
-    numpy's BLAS, and each BLAS thread variable (None when unset)."""
+    numpy's BLAS, each BLAS thread variable (None when unset) and
+    `blas_threads`, the thread count OpenBLAS computes with once this tree's
+    pcnn is imported (None where numpy's OpenBLAS does not report it)."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from pcnn import blas as pinned
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "threads": {name: os.environ.get(name)
-                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "blas_threads": pinned.threads()}
 
 
 # ---------------------------------------------------------------- shapes
