@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomicio import check_blob, sha256, write_blob
+from .seedstreams import SeedStreams
 from .validate import check_ints, check_reals
 
 PROB_SUM_TOL = 1e-4
@@ -95,19 +96,22 @@ class SyntheticClassifier:
     def _corrupt(self, probs, split, ids):
         """Apply the seeded corruption to the rows of `probs` in place: each
         record draws from its own (seed, split, id) stream whether its top-1
-        probability swaps with a uniformly chosen other class of its top-Q."""
+        probability swaps with a uniformly chosen other class of its top-Q.
+        Every record's first draw is made at once (`SeedStreams`); only a
+        hit at Q >= 3 builds its own generator, for the partner. A negative
+        id raises ValueError naming the split."""
         q = min(self.corruption_q, probs.shape[1])
-        split_tag = zlib.crc32(split.encode())
-        hit, pick = [], []
-        for i, rid in enumerate(ids):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, split_tag, rid])
-            )
-            if rng.random() < self.corruption_rate and q >= 2:
-                hit.append(i)
-                pick.append(1 + rng.integers(q - 1))
-        if not hit:
+        prefix = [self.seed, zlib.crc32(split.encode())]
+        streams = SeedStreams(prefix, ids, what=f"{split} record ids")
+        hit = np.flatnonzero(streams.random < self.corruption_rate)
+        if q < 2 or not len(hit):
             return
+        pick = np.ones(len(hit), dtype=np.int64)
+        if q > 2:  # a partner past the fixed one comes from the hit's own stream
+            for i, rid in enumerate(ids[hit]):
+                rng = np.random.default_rng(np.random.SeedSequence([*prefix, int(rid)]))
+                rng.random()
+                pick[i] += rng.integers(q - 1)
         classes = top_q(probs[hit], q).classes
         top1 = classes[:, 0]
         partner = classes[np.arange(len(hit)), pick]

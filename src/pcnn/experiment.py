@@ -27,7 +27,7 @@ from .nnindex import ClassIndex, kept_per_class
 from .pairsampler import SamplerConfig
 from .reranker import ModelScorer, RerankConfig
 from .synthgen import SyntheticSpec, synth_gen
-from .validate import check_ints, check_reals, is_int
+from .validate import check_ints, check_reals, is_int, is_int64
 
 
 class StageError(RuntimeError):
@@ -67,6 +67,8 @@ class ExperimentConfig:
                 and all(is_int(seed) and seed >= 0 for seed in self.seeds)):
             raise ValueError(f"seeds must be a non-empty list of integers >= 0, "
                              f"got {self.seeds!r}")
+        if not all(is_int64(seed) for seed in self.seeds):
+            raise ValueError(f"seeds must be integers that int64 holds, got {self.seeds!r}")
         check_reals(self, subsample_fraction="(0, 1]")
         if (self.manifest_path is None) != (self.payload_path is None):
             raise ValueError("manifest_path and payload_path must be set together")

@@ -10,8 +10,8 @@ and predictions are derived from them. Also: kNN baselines, sanity checks,
 and the top-Q ceiling table.
 """
 
-import json
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -192,21 +192,46 @@ def evaluate_rerank(store, output, index, scorer, cfg, query_split="test"):
     )
 
 
+# `float.__repr__` of a non-finite float -> its `json.dumps` spelling
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values):
+    """Each float of `values`, flattened, as `json.dumps` spells it:
+    `float.__repr__`, or NaN, Infinity and -Infinity."""
+    text = list(map(float.__repr__, values.ravel().tolist()))
+    for i in np.flatnonzero(~np.isfinite(values.ravel())).tolist():
+        text[i] = _NON_FINITE[text[i]]
+    return text
+
+
 def save_results(table, path):
     """One JSON line per query: its prediction, comparator query count and
     top-K classes; a class under the probability floor has no neighbors
-    and a null s score and final score."""
-    columns = (table.classes, table.probs, table.wanted, table.neighbors,
-               table.s_scores, table.final)
-    rows = zip(table.query_ids.tolist(), table.predicted.tolist(),
-               table.comparator_queries.tolist(), *(col.tolist() for col in columns))
+    and a null s score and final score. The bytes are `json.dumps` of each
+    query's dict, written from columns: every number is formatted once per
+    column, and the hard final score is its s score's text."""
+    wanted = table.wanted.ravel().tolist()
+    # the repr of a list of ints is its JSON
+    neighbors = map(repr, table.neighbors.reshape(-1, table.neighbors.shape[2]).tolist())
+    s_scores = _json_floats(table.s_scores)
+    finals = s_scores if table.mode == "hard" else _json_floats(table.final)
+    entries = (
+        f'{{"class": {c}, "prob": {p}, "neighbors": {n if w else "[]"}, '
+        f'"s_score": {s if w else "null"}, "final": {f if w else "null"}}}'
+        for c, p, w, n, s, f in zip(table.classes.ravel().tolist(),
+                                    _json_floats(table.probs), wanted, neighbors,
+                                    s_scores, finals))
+    k = table.classes.shape[1]
+    heads = zip(table.query_ids.tolist(), table.predicted.tolist(),
+                table.comparator_queries.tolist())
     with atomic_open(path) as fh:
-        for qid, predicted, count, *row in rows:
-            classes = [{"class": c, "prob": p, "neighbors": n if w else [],
-                        "s_score": s if w else None, "final": f if w else None}
-                       for c, p, w, n, s, f in zip(*row)]
-            fh.write(json.dumps({"query": qid, "predicted": predicted,
-                                 "comparator_queries": count, "classes": classes}) + "\n")
+        # entries and lines are formatted as they are written, so the file's
+        # text is never held whole
+        fh.writelines(
+            f'{{"query": {qid}, "predicted": {predicted}, "comparator_queries": {count}, '
+            f'"classes": [{", ".join(islice(entries, k))}]}}\n'
+            for qid, predicted, count in heads)
 
 
 # ------------------------------------------------------------ baselines

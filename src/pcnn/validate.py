@@ -7,8 +7,10 @@ import numbers
 
 
 def is_int(value):
-    """An integer here is a `numbers.Integral` that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An integer here is a `numbers.Integral` that is not a bool. A plain
+    `int`, what JSON decodes to, is answered before the slower ABC check."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def is_int64(value):
@@ -29,11 +31,14 @@ def is_real(value):
 
 def check_ints(obj, **lows):
     """Raise ValueError naming the first field of `obj` in `lows` that is not
-    an integer (`is_int`) at or above its minimum."""
+    an integer (`is_int`) at or above its minimum that int64 holds
+    (`is_int64`)."""
     for name, low in lows.items():
         value = getattr(obj, name)
         if not is_int(value) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not is_int64(value):
+            raise ValueError(f"{name} must be an integer that int64 holds, got {value!r}")
 
 
 def check_reals(obj, **intervals):

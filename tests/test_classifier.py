@@ -15,6 +15,7 @@ from pcnn.classifier import (
     top_q,
 )
 from pcnn.embedstore import build_store
+from pcnn.experiment import ExperimentConfig, StageError, prepare
 
 from conftest import toy_store
 
@@ -56,6 +57,21 @@ def reference_predict(clf, store, split):
             p[top1], p[partner] = p[partner], p[top1]
         rows.append(p)
     return np.array(rows)
+
+
+def wide_ids(n, seed):
+    """n distinct ids: the edges of one and two uint32 words, 2**63 - 1, and
+    draws from [2**32, 2**63)."""
+    edges = [0, 2**32 - 1, 2**32, 2**63 - 1]
+    drawn = np.random.default_rng(seed).integers(2**32, 2**63 - 1, size=n - len(edges))
+    return np.concatenate([edges, drawn])
+
+
+def with_ids(store, ids):
+    """The store's records, labels and grids under other ids: split -> ids."""
+    records = {s: list(zip(ids[s], store.labels(s))) for s in ("train", "test")}
+    return build_store("ids", store.manifest.class_names, records,
+                       {s: store.grids(s) for s in ("train", "test")})
 
 
 class TestPredictSynthetic:
@@ -112,16 +128,40 @@ class TestPredictSynthetic:
     @pytest.mark.parametrize("chunk", [1, 64, classifier._CHUNK])
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_matches_per_record_reference(self, monkeypatch, chunk, split):
-        # chunk 1 and 64 split the rows over many distance blocks
+        # chunk 1 and 64 split the rows over many distance blocks. Ids of two
+        # uint32 words with seeds of one, two and three make entropy of 3 to
+        # 6 words, so pools with and without extra mixing rounds; Q 2 fixes
+        # the partner and Q 4 draws it.
         monkeypatch.setattr(classifier, "_CHUNK", chunk)
         store, centroids = toy_store(classes=7, per_class=9, depth=6, seed=3, noise=2.0)
-        clf = SyntheticClassifier(centroids, tau=2.0, corruption_rate=0.6,
-                                  corruption_q=4, seed=5)
-        got = clf.predict_split(store, split).probs
-        want = reference_predict(clf, store, split)
-        assert not np.array_equal(want, reference_predict(
-            SyntheticClassifier(centroids, tau=2.0, seed=5), store, split))
-        np.testing.assert_array_equal(got, want)
+        wide = with_ids(store, {s: wide_ids(store.size(s), seed) for seed, s in
+                                enumerate(("train", "test"))})
+        cases = [(store, 5, 4)] + [(wide, seed, q) for seed in (5, 2**33, 2**70)
+                                   for q in (2, 4)]
+        for store, seed, q in cases:
+            clf = SyntheticClassifier(centroids, tau=2.0, corruption_rate=0.6,
+                                      corruption_q=q, seed=seed)
+            got = clf.predict_split(store, split).probs
+            want = reference_predict(clf, store, split)
+            assert not np.array_equal(want, reference_predict(
+                SyntheticClassifier(centroids, tau=2.0, seed=seed), store, split))
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_negative_record_id_names_the_split(self, tmp_path, rate):
+        store, _ = toy_store(classes=2, per_class=3)
+        ids = {"train": np.arange(6), "test": np.array([0, 1, -3, 2, -7, 4])}
+        with_ids(store, ids).save(tmp_path / "m.json", tmp_path / "p.bin")
+        cfg = ExperimentConfig(
+            seeds=[1], output_dir=str(tmp_path / "out"), manifest_path=str(tmp_path / "m.json"),
+            payload_path=str(tmp_path / "p.bin"), synthetic={"corruption_rate": rate},
+            sampler={"q": 2}, comparator={"heads": 1}, rerank={"k": 2})
+        pipe = prepare(cfg, 1)
+        pipe.out_train  # every train id is non-negative
+        with pytest.raises(StageError, match="test record ids must be non-negative to "
+                                             "seed a stream, got -3") as info:
+            pipe.out_test
+        assert info.value.stage == "classifier"
 
     def test_probs_sum_to_one(self, small_store):
         store, centroids = small_store

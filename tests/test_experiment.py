@@ -322,6 +322,13 @@ class TestPipeline:
                                              f"got {value!r}"):
             prepare(tiny_cfg(tmp_path, **{section: {field: value}}), 1)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("comparator", "mlp_hidden", 10**400), ("rerank", "k", 2**63),
+    ], ids=["mlp_hidden-10**400", "k-2**63"])
+    def test_integer_field_beyond_int64_names_the_field(self, tmp_path, section, field, value):
+        with pytest.raises(StageError, match=f"{field} must be an integer that int64 holds"):
+            prepare(tiny_cfg(tmp_path, **{section: {field: value}}), 1)
+
     @pytest.mark.parametrize("given", ["manifest_path", "payload_path"])
     def test_manifest_and_payload_set_together(self, tmp_path, given):
         with pytest.raises(ValueError, match="manifest_path and payload_path"):
@@ -368,6 +375,13 @@ class TestPipeline:
                 f"seeds must be a non-empty list of integers >= 0, got {seeds!r}")):
             ExperimentConfig(seeds=seeds)
 
+    def test_seeds_must_fit_int64(self):
+        # otherwise seed 1 trains before the pipeline of seed 2**63 rejects it
+        with pytest.raises(ValueError, match=re.escape(
+                "seeds must be integers that int64 holds, got [1, 9223372036854775808]")):
+            ExperimentConfig(seeds=[1, 2**63])
+        assert ExperimentConfig(seeds=[1, 2**63 - 1]).seeds == [1, 2**63 - 1]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(seeds=[])
@@ -383,8 +397,8 @@ class TestPipeline:
 
 # Every numeric config field: (section, field) -> (values that run, values out
 # of range). "" is the top level of ExperimentConfig. Each field is also drawn
-# with every `NOT_A_NUMBER` value, an integer field with a float, and any other
-# field with an integer that no float holds.
+# with every `NOT_A_NUMBER` value and with an integer that neither a float nor
+# an int64 holds, and an integer field with a float.
 CONFIG_SPACE = {
     ("synthetic", "separation"): ([0.5, 2], [0, -1.0]),
     ("synthetic", "group_spread"): ([1, 4.0], [0.0, -2]),
@@ -410,7 +424,7 @@ CONFIG_SPACE = {
     ("rerank", "n_neighbors"): ([1, 3], [0, 7]),  # 6 train records per class
     ("rerank", "prob_floor"): ([0, 0.2], [1, -0.1]),
     ("", "subsample_fraction"): ([0.7, 1], [0, 1.5]),
-    ("", "seeds"): ([[0], [3, 4]], [[], [True], ["1"], [-1], [1.0], 1]),
+    ("", "seeds"): ([[0], [3, 4]], [[], [True], ["1"], [-1], [1.0], 1, [1, 2**63]]),
 }
 NOT_A_NUMBER = [True, False, "0.5", None, float("nan"), float("inf"), float("-inf")]
 
@@ -429,11 +443,9 @@ def config_cases(draw):
     """(section, field, value, whether the value is valid)."""
     section, name = draw(st.sampled_from(sorted(CONFIG_SPACE)))
     valid, out_of_range = CONFIG_SPACE[section, name]
-    invalid = out_of_range + NOT_A_NUMBER
+    invalid = out_of_range + NOT_A_NUMBER + [10**400]
     if all(is_int(v) for v in valid):
         invalid.append(float(valid[-1]))
-    else:
-        invalid.append(10**400)
     value, ok = draw(st.sampled_from([(v, True) for v in valid] + [(v, False) for v in invalid]))
     return section, name, value, ok
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,7 +70,8 @@ def rows(table):
 def reference_jsonl(table):
     """save_results' bytes from the per-query path the table replaced: each
     query's entries as Python values, its prediction by max over
-    (final, prob, -class id), and the old per-query dict layout."""
+    (final, prob, -class id), where a NaN final, as in np.argmax, beats
+    any number, and the old per-query dict layout."""
     lines = []
     for i, qid in enumerate(table.query_ids.tolist()):
         entries = []
@@ -80,7 +82,8 @@ def reference_jsonl(table):
                 entries.append((c, p, n, s, p * s if table.mode == "soft" else s))
             else:
                 entries.append((c, p, [], None, -np.inf))
-        best = max(entries, key=lambda e: (e[4], e[1], -e[0]))
+        best = max(entries, key=lambda e: (math.isnan(e[4]), 0.0 if math.isnan(e[4]) else e[4],
+                                           e[1], -e[0]))
         obj = {
             "query": int(qid),
             "predicted": int(best[0]),
@@ -284,7 +287,7 @@ class TestEvaluate:
                 else:
                     assert cobj["final"] == pytest.approx(results.final[i, j])
 
-    @pytest.mark.parametrize("case", ["n1", "n3", "floor", "floor_all", "ties"])
+    @pytest.mark.parametrize("case", ["n1", "n3", "floor", "floor_all", "ties", "non_finite"])
     def test_save_results_matches_per_query_reference(self, world, tmp_path, case):
         store, index, out = world
         rng = np.random.default_rng(11)
@@ -292,7 +295,7 @@ class TestEvaluate:
                               for n in store.ids("train")})
         cfg = {"n1": dict(), "n3": dict(n_neighbors=3),
                "floor": dict(n_neighbors=2, prob_floor=0.15),
-               "floor_all": dict(), "ties": dict(n_neighbors=2)}[case]
+               "floor_all": dict(), "ties": dict(n_neighbors=2), "non_finite": dict()}[case]
         if case == "floor_all":
             # a flat classifier, so that a floor can lie above every top-1 prob
             _, centroids = toy_store(classes=5, per_class=8, seed=6)
@@ -303,17 +306,24 @@ class TestEvaluate:
             probs = rng.dirichlet(np.ones(out.probs.shape[1]), size=len(out.ids))
             out = ClassifierOutput("test", out.ids, np.round(probs, 1))
             scorer = FixedScorer({}, default=0.5)
+        if case == "non_finite":
+            # json.dumps spells these NaN, Infinity and -Infinity
+            values = [float("nan"), float("inf"), float("-inf"), 0.25]
+            scorer.table = {pair: values[i % 4] for i, pair in enumerate(scorer.table)}
         cfg = RerankConfig(k=4, **cfg)
         report = evaluate_rerank(store, out, index, scorer, cfg)
         for table in (report.results_soft, report.results_hard):
             save_results(table, tmp_path / "r.jsonl")
             assert (tmp_path / "r.jsonl").read_bytes() == reference_jsonl(table)
         wanted = report.results_soft.wanted
-        assert wanted.all() == (case in ("n1", "n3", "ties"))
+        assert wanted.all() == (case in ("n1", "n3", "ties", "non_finite"))
         assert wanted.any() == (case != "floor_all")
         if case == "ties":
             top = report.results_soft.probs
             assert np.any(top[:, 0] == top[:, 1])
+        s_scores = report.results_soft.s_scores
+        for has in (np.isnan, np.isposinf, np.isneginf):
+            assert has(s_scores).any() == (case == "non_finite")
 
     def test_outputs_must_be_the_split_in_store_order(self, world):
         store, index, out = world

@@ -7,10 +7,12 @@ In each tree a subprocess, with that tree's `src` first on PYTHONPATH, runs
 the same fixed shapes and writes everything they produce under one
 directory:
 
-- `c10`, `random7` and `seed`: every `run_seed` artifact at the c10
-  determinism config, at a 7-class config (random-class negatives,
-  `nn_rank` 2, `n_neighbors` 3, `prob_floor` 0.1, `subsample_fraction` 0.7)
-  and at the `seed` benchmark shape;
+- `c10`, `random7`, `seed` and `corrupt_q4`: every `run_seed` artifact at
+  the c10 determinism config, at a 7-class config (random-class negatives,
+  `nn_rank` 2, `n_neighbors` 3, `prob_floor` 0.1, `subsample_fraction` 0.7),
+  at the `seed` benchmark shape, and at the c10 config with seed 2**33, two
+  entropy words, `corruption_q` 4 and `corruption_rate` 0.6, so that the
+  corruption also draws its swap partners;
 - `cli`: the files and the exit code, stdout and stderr of `synth`,
   `sample`, `train`, `eval`, `rerank`, `sanity`, `ceiling`, `explain`,
   `ingest` and `index` at the `posttrain_cli` benchmark shape. `index` runs
@@ -75,6 +77,10 @@ RUN_SEED_SHAPES = {
     }),
     "seed": (1, {"synthetic": {}, "sampler": {"q": 10},
                  "train": {"epochs": 10, "max_lr": 0.05}, "rerank": {"k": 10}}),
+    "corrupt_q4": (2**33, {
+        **_C10,
+        "synthetic": {**_C10["synthetic"], "corruption_q": 4, "corruption_rate": 0.6},
+    }),
 }
 CLI_SEED = 31
 CLI_CONFIG = {"synthetic": {"classes": 20, "train_per_class": 30, "test_per_class": 60},
