@@ -13,7 +13,7 @@ import numpy as np
 
 from .atomicio import check_blob, sha256, write_blob
 from .seedstreams import SeedStreams
-from .validate import check_ints, check_reals
+from .validate import check_ints, check_reals, is_int
 
 PROB_SUM_TOL = 1e-4
 # dtype of a probability matrix written by `save_outputs`
@@ -84,13 +84,16 @@ def top_q(probs, q):
 class SyntheticClassifier:
     """`corruption_q`, an integer >= 2, is the Q of the top-Q that a
     corrupted record's swap partner is drawn from; a value above the class
-    count means any other class."""
+    count means any other class. `seed` is an integer >= 0 of any size, as
+    `SeedStreams` takes."""
 
     def __init__(self, centroids, tau, corruption_rate=0.0, corruption_q=10, seed=0):
         self.centroids = np.asarray(centroids, dtype=np.float64)
         self.tau, self.corruption_rate, self.corruption_q = tau, corruption_rate, corruption_q
         check_ints(self, corruption_q=2)
         check_reals(self, tau="(0, inf)", corruption_rate="[0, 1]")
+        if not (is_int(seed) and seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         self.seed = int(seed)
 
     def _corrupt(self, probs, split, ids):

@@ -27,6 +27,25 @@ class TrainingError(RuntimeError):
     pass
 
 
+def _mallopt(param, value):
+    """glibc's `mallopt(param, value)`; nothing where the C library has none."""
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        libc.mallopt(param, value)
+
+
+# A training step's graph (about 20 MB at the default shape) is freed at once
+# when the next step's tape opens. glibc would hand the free top of the heap
+# back to the kernel and the next forward would fault every page in again
+# (2,000-3,000 minor faults a step), so the process keeps up to 64 MB of free
+# heap top. Setting a threshold turns off glibc's dynamic one, so the mmap
+# threshold is fixed at 32 MB, the ceiling the dynamic rule grows to, and the
+# trim threshold at twice that, as that rule sets it.
+_mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+_mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _scoring_worker():
     """The thread that scores next to the caller (`_split`), or None: only
     with OpenBLAS pinned to one thread, which leaves a core free, and a
@@ -39,10 +58,7 @@ def _scoring_worker():
     """
     if not (blas.PINNED and len(os.sched_getaffinity(0)) >= 2):
         return None
-    libc = ctypes.CDLL(None)
-    if hasattr(libc, "mallopt"):
-        libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        libc.mallopt(-8, 1)  # M_ARENA_MAX
+    _mallopt(-8, 1)  # M_ARENA_MAX
     return ThreadPoolExecutor(1, thread_name_prefix="pcnn-score")
 
 
@@ -528,7 +544,7 @@ def train(model, store, train_pairs, eval_pairs, cfg):
             step += 1
         if bad := _non_finite(model.state_arrays()):
             raise TrainingError(f"non-finite parameter {bad!r} after epoch {epoch}")
-        tape = logits = loss = None  # free the last step's graph before scoring
+        tape = logits = loss = None  # free the last step's node outputs before scoring
         metrics = evaluate_binary(model, store, eval_pairs, cfg.batch_size)
         row = {
             "epoch": epoch,

@@ -13,6 +13,7 @@ runs one entry of `STEPS`, so both write the same bytes.
 import contextlib
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -72,6 +73,12 @@ class ExperimentConfig:
         check_reals(self, subsample_fraction="(0, 1]")
         if (self.manifest_path is None) != (self.payload_path is None):
             raise ValueError("manifest_path and payload_path must be set together")
+        # a repeated seed would train twice into one directory and count
+        # twice in the summary's means
+        repeated = sorted(seed for seed, n in Counter(self.seeds).items() if n > 1)
+        if repeated:
+            raise ValueError(f"seeds must be distinct, got {self.seeds!r}: "
+                             f"{', '.join(map(str, repeated))} repeated")
 
     @staticmethod
     def from_json(text):

@@ -22,7 +22,8 @@ class ConfigError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Misuse of the tape (backward on a foreign or non-scalar node)."""
+    """Misuse of the tape (backward on a foreign or non-scalar node, or a
+    second backward on one tape)."""
 
 
 class DegenerateBatchError(ValueError):
@@ -34,10 +35,12 @@ _TAPES = []
 
 
 class Tape:
-    """Ordered record of one forward pass; creation order is topological."""
+    """Ordered record of one forward pass; creation order is topological.
+    It replays once: `backward` drops each node's closure as it runs."""
 
     def __init__(self):
         self.nodes = []
+        self.replayed = False
 
     def __enter__(self):
         _TAPES.append(self)
@@ -105,16 +108,23 @@ def backward(tape, loss):
 
     Every consumer of a tape node comes after it on the tape, so a node's
     grad is complete when it is reached; it is dropped once propagated, which
-    frees it while the replay goes on. Leaf grads are kept."""
+    frees it while the replay goes on. So is the node's closure, and with it
+    the op's saved arrays and its links to its parents: after the replay the
+    tape holds only the nodes' outputs, and no graph outlives it. Leaf grads
+    are kept. A tape replays once; a second backward raises TapeError."""
+    if tape.replayed:
+        raise TapeError("this tape was already replayed")
     if not any(n is loss for n in tape.nodes):
         raise TapeError("loss was not produced under this tape")
     if loss.data.shape != ():
         raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
+    tape.replayed = True
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(tape.nodes):
-        if node.grad is None or node._backward is None:
+        back, node._backward = node._backward, None
+        if node.grad is None:
             continue
-        node._backward(node.grad)
+        back(node.grad)
         node.grad = None
 
 

@@ -128,14 +128,15 @@ def sample_eval(store, output, index, config):
     """Test-split sampling with identical-grid dedup and exact 50/50 balance."""
     pairset = _sample(store, output, index, config, "test")
     rows1, rows2 = pairset_rows(store, pairset)
-    # identical grids have identical pooled vectors: compare the grids of
-    # the pooled matches only
-    pooled1, pooled2 = store.pooled_all("test")[rows1], store.pooled_all("train")[rows2]
-    dup = (pooled1 == pooled2).all(axis=1)
-    at = dup.nonzero()[0]
-    grids1, grids2 = store.grids("test")[rows1[at]], store.grids("train")[rows2[at]]
-    dup[at] = (grids1 == grids2).all(axis=(1, 2))
-    keep = ~dup
+    # identical grids have identical pooled vectors: narrow the pairs by the
+    # first pooled column, then by the whole pooled vector, and compare the
+    # grids of what is left, so no (pairs, D) array is gathered for all pairs
+    pooled1, pooled2 = store.pooled_all("test"), store.pooled_all("train")
+    at = (pooled1[rows1, 0] == pooled2[rows2, 0]).nonzero()[0]
+    at = at[(pooled1[rows1[at]] == pooled2[rows2[at]]).all(axis=1)]
+    at = at[(store.grids("test")[rows1[at]] == store.grids("train")[rows2[at]]).all(axis=(1, 2))]
+    keep = np.ones(len(rows1), dtype=bool)
+    keep[at] = False
     pos = (keep & (pairset.pairs.label == POSITIVE)).nonzero()[0]
     neg = (keep & (pairset.pairs.label == NEGATIVE)).nonzero()[0]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xBA1A]))

@@ -96,6 +96,14 @@ class TestPredictSynthetic:
         with pytest.raises(ValueError):
             SyntheticClassifier(np.zeros((2, 2)), tau=0.0)
 
+    @pytest.mark.parametrize("seed", [3.7, True, -1, "3"])
+    def test_bad_seed_names_the_field(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            SyntheticClassifier(np.zeros((2, 2)), tau=1.0, seed=seed)
+
+    def test_seed_beyond_int64_constructs(self):
+        assert SyntheticClassifier(np.zeros((2, 2)), tau=1.0, seed=2**70).seed == 2**70
+
     def test_zero_corruption_perfect_on_centroids(self):
         store, centroids = centered_store()
         clf = SyntheticClassifier(centroids, tau=0.5)

@@ -382,6 +382,14 @@ class TestPipeline:
             ExperimentConfig(seeds=[1, 2**63])
         assert ExperimentConfig(seeds=[1, 2**63 - 1]).seeds == [1, 2**63 - 1]
 
+    def test_seeds_must_be_distinct(self):
+        # otherwise seed 1 trains twice into seed_1/ and counts twice in the means
+        with pytest.raises(ValueError, match=re.escape(
+                "seeds must be distinct, got [1, 2, 1, 3, 2]: 1, 2 repeated")):
+            ExperimentConfig(seeds=[1, 2, 1, 3, 2])
+        with pytest.raises(ValueError, match=re.escape("got [1, 1]: 1 repeated")):
+            ExperimentConfig.from_json(json.dumps({"seeds": [1, 1]}))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(seeds=[])

@@ -1,4 +1,7 @@
+import ctypes
 import math
+import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,12 +406,33 @@ def _default_step(model, rng, batch=4):
     return tape
 
 
+def _pair_batch(rng, records, pairs):
+    """Grids of `records` distinct records at the default shape (D=64, T=4),
+    the two sides of `pairs` pairs among them, and balanced labels."""
+    return (rng.normal(size=(records, 4, 64)), np.arange(pairs),
+            np.arange(records - pairs, records), np.array([1.0, 0.0] * (pairs // 2)))
+
+
+def _train_step(model, grids, at1, at2, y):
+    """One training step as `comparator.train` takes it; returns the logits
+    and loss, which `train` keeps while the next step runs."""
+    with nk.Tape() as tape:
+        logits = model.pair_logits(model.records(grids), at1, at2, "train")
+        loss = nk.bce_with_logits(logits, y)
+    for _, t in model.parameters():
+        t.grad = None
+    nk.backward(tape, loss)
+    return logits, loss
+
+
 class TestTrainingStep:
     def test_tape_nodes_per_default_step(self):
-        # default comparator at the synthetic default shape (D=64, T=4)
+        # default comparator at the synthetic default shape (D=64, T=4); the
+        # replay drops every closure and keeps every node
         model = ComparatorModel(ComparatorConfig(depth=64, tokens=4), seed=0)
         tape = _default_step(model, np.random.default_rng(29))
         assert len(tape.nodes) == 30
+        assert all(node._backward is None for node in tape.nodes)
 
     def test_identical_steps_give_bitwise_equal_grads(self):
         model = ComparatorModel(ComparatorConfig(depth=16, tokens=3, heads=4), seed=1)
@@ -448,6 +472,35 @@ class TestTrainingStep:
         assert any(node.grad is not None for node in ref_tape.nodes)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_second_step_peak_matches_first(self):
+        # train keeps the last step's logits and loss while the next step's
+        # forward runs; they must not keep that step's graph alive
+        model = ComparatorModel(ComparatorConfig(depth=64, tokens=4), seed=0)
+        batch = _pair_batch(np.random.default_rng(35), records=128, pairs=64)
+        peaks, kept = [], None
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                tracemalloc.reset_peak()
+                kept = _train_step(model, *batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="glibc malloc only")
+    def test_steps_reuse_the_freed_heap(self):
+        # a step frees the last step's graph at once; handing that memory
+        # back to the kernel would fault 2,000-3,000 pages in again a step
+        model = ComparatorModel(ComparatorConfig(depth=64, tokens=4), seed=0)
+        batch = _pair_batch(np.random.default_rng(36), records=320, pairs=256)
+        faults = []
+        for _ in range(6):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            _train_step(model, *batch)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert sorted(faults[2:])[1] < 300, faults
 
 
 class TestBce:
@@ -507,6 +560,15 @@ class TestBackward:
             y = nk.mul(x, x)
         with pytest.raises(nk.TapeError):
             nk.backward(tape, y)
+
+    def test_tape_replays_once(self):
+        x = nk.Tensor(np.ones(3), requires_grad=True)
+        with nk.Tape() as tape:
+            loss = nk.sum_all(nk.mul(x, x))
+        nk.backward(tape, loss)
+        with pytest.raises(nk.TapeError, match="already replayed"):
+            nk.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
 
     def test_backward_bitwise_deterministic(self):
         rng = np.random.default_rng(11)

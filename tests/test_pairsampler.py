@@ -352,6 +352,31 @@ class TestBatchedParity:
         assert len(want) == 2 * min(sum(t[2] for t in raw), sum(1 - t[2] for t in raw))
         assert as_tuples(sample_eval(store, out_test, index, cfg)) == want
 
+    def test_same_first_pooled_column_but_other_grid_is_kept(self):
+        # one test grid equals its train twin; another equals its twin in
+        # the first column only, so it passes the first-column comparison
+        # and must be kept
+        store, centroids = toy_store(classes=4, per_class=6, seed=4)
+        (qid, twin), (near, near_twin) = [
+            (q, store.by_class("train", store.class_of("test", q))[0])
+            for q in store.ids("test")[[0, 6]]]
+        grids = {s: store.grids(s).copy() for s in ("train", "test")}
+        grids["test"][store.rows("test", [qid])[0]] = store.grid("train", twin)
+        grids["test"][store.rows("test", [near])[0]] = store.grid("train", near_twin) + [0, 1e-3, 0, 0, 0]
+        store = build_store("toy", store.manifest.class_names, store.manifest.records, grids)
+        pooled1, pooled2 = store.pooled("test", near), store.pooled("train", near_twin)
+        assert pooled1[0] == pooled2[0] and not np.array_equal(pooled1, pooled2)
+        index = ClassIndex.build(store)
+        out_test = SyntheticClassifier(centroids, tau=1.0, seed=7).predict_split(store, "test")
+        cfg = SamplerConfig(q=3, seed=0)
+        raw = as_tuples(pairsampler._sample(store, out_test, index, cfg, "test"))
+        assert {(qid, twin, POSITIVE), (near, near_twin, POSITIVE)} <= {t[:3] for t in raw}
+        want, _ = reference_eval(store, raw, cfg.seed)
+        got = as_tuples(sample_eval(store, out_test, index, cfg))
+        assert got == want
+        pairs = [t[:3] for t in got]
+        assert (qid, twin, POSITIVE) not in pairs and (near, near_twin, POSITIVE) in pairs
+
 
 def test_jsonl_roundtrip(pipeline, tmp_path):
     store, index, out_train, _ = pipeline

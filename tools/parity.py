@@ -23,7 +23,7 @@ directory:
   and 8: both seed directories and `summary.json`, its output in
   `cli/stdout/sweep.json`;
 - rejected configs: a bool and a string in real fields through `ceiling`,
-  and a bool seed through `sweep`, each with its output in
+  and a bool seed and a repeated seed through `sweep`, each with its output in
   `cli/stdout/bad_<name>.json`, so a change to what is rejected, or how it
   is named, shows in the report. Whatever a tree that accepts them writes
   under `cli/bad/out` is removed.
@@ -91,6 +91,7 @@ BAD_CONFIGS = {
     "jitter_sigma_bool": ("ceiling", {**CLI_CONFIG, "comparator": {"jitter_sigma": True}}),
     "prob_floor_str": ("ceiling", {**CLI_CONFIG, "rerank": {"k": 10, "prob_floor": "0.1"}}),
     "seeds_bool": ("sweep", {**_C10, "seeds": [True]}),
+    "seeds_dup": ("sweep", {**_C10, "seeds": [1, 1]}),
 }
 
 
