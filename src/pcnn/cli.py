@@ -4,7 +4,8 @@ Every stage is driven by a single JSON experiment config; commands are
 idempotent with respect to their declared outputs. The config commands
 are `experiment.STEPS`: each runs its step on `experiment.prepare(config,
 seed)`, which writes the same files as `run_seed`, and prints the JSON
-document the step returns. On failure the process exits
+document the step returns. The seed is `--seed`, or else the config's
+seed when `seeds` holds one. On failure the process exits
 nonzero after printing one machine-readable error JSON to stderr.
 """
 
@@ -24,6 +25,17 @@ def _fail(command, exc):
     err = {"command": command, "error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(err), file=sys.stderr)
     return 1
+
+
+def run_step(step, args):
+    """A config command: `step` on the pipeline of `--seed`, or of the
+    config's seed when `seeds` holds one."""
+    cfg = ExperimentConfig.load(args.config)
+    if args.seed is None and len(cfg.seeds) != 1:
+        raise ValueError(f"seeds holds {len(cfg.seeds)} seeds {cfg.seeds!r}; "
+                         f"pick one with --seed")
+    seed = cfg.seeds[0] if args.seed is None else args.seed
+    return step(experiment.prepare(cfg, seed))
 
 
 def cmd_sweep(args):
@@ -88,9 +100,8 @@ def build_parser():
     for name, step in experiment.STEPS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=42)
-        sp.set_defaults(fn=lambda args, step=step: step(
-            experiment.prepare(ExperimentConfig.load(args.config), args.seed)))
+        sp.add_argument("--seed", type=int, help="default: the config's only seed")
+        sp.set_defaults(fn=lambda args, step=step: run_step(step, args))
 
     sp = sub.add_parser("ingest")
     sp.add_argument("--manifest", required=True)

@@ -389,7 +389,12 @@ def _split(count, work):
     odd.result()
 
 
-def score_rows(model, grids1, rows1, grids2, rows2, batch_size=256):
+# pairs (and grids) per scoring chunk; every caller in pcnn scores at this
+# size, training's per-epoch eval included
+SCORE_BATCH = 256
+
+
+def score_rows(model, grids1, rows1, grids2, rows2, batch_size=SCORE_BATCH):
     """Eval-mode scores of the pairs (grids1[rows1[i]], grids2[rows2[i]]).
 
     One record set serves the call: each distinct grid goes through
@@ -428,15 +433,9 @@ def score_rows(model, grids1, rows1, grids2, rows2, batch_size=256):
     return scores
 
 
-def score_pairset(model, store, pairset, batch_size=256):
+def evaluate_binary(model, store, pairset):
     rows1, rows2 = pairset_rows(store, pairset)
-    return score_rows(
-        model, store.grids(pairset.split), rows1, store.grids("train"), rows2, batch_size
-    )
-
-
-def evaluate_binary(model, store, pairset, batch_size=256):
-    scores = score_pairset(model, store, pairset, batch_size)
+    scores = score_rows(model, store.grids(pairset.split), rows1, store.grids("train"), rows2)
     return metrics_from_scores(scores, pairset.pairs.label)
 
 
@@ -545,7 +544,7 @@ def train(model, store, train_pairs, eval_pairs, cfg):
         if bad := _non_finite(model.state_arrays()):
             raise TrainingError(f"non-finite parameter {bad!r} after epoch {epoch}")
         tape = logits = loss = None  # free the last step's node outputs before scoring
-        metrics = evaluate_binary(model, store, eval_pairs, cfg.batch_size)
+        metrics = evaluate_binary(model, store, eval_pairs)
         row = {
             "epoch": epoch,
             "loss": epoch_loss / trained,

@@ -58,7 +58,7 @@ class ExperimentConfig:
     manifest_path: str = None  # alternative to synthetic
     payload_path: str = None
     sampler: dict = field(default_factory=dict)  # SamplerConfig fields
-    comparator: dict = field(default_factory=dict)  # ComparatorConfig overrides
+    comparator: dict = field(default_factory=dict)  # ComparatorConfig fields but depth, tokens
     train: dict = field(default_factory=dict)  # TrainConfig fields
     rerank: dict = field(default_factory=dict)  # RerankConfig fields
     subsample_fraction: float = 1.0
@@ -114,7 +114,8 @@ class Pipeline:
     configs are built then too, so a bad config section fails, as
     StageError naming the stage that reads it, before any stage runs (a
     class with fewer indexed train records than `n_neighbors` fails as
-    "evaluation"), and a `seed` that is not an integer >= 0 fails as a
+    "evaluation"; a `comparator.depth` or `tokens`, which the store fixes,
+    as "training"), and a `seed` that is not an integer >= 0 fails as a
     ValueError naming it before the data stage; `index`, `out_train`,
     `out_test`, `train_pairs`, `eval_pairs`, `out`, `trained` and `model`
     are each built on first read and then kept, so a caller pays only for
@@ -139,7 +140,7 @@ class Pipeline:
         manifest = self.store.manifest
         with _stage("training"):
             self.comparator_cfg = ComparatorConfig(
-                **{"depth": manifest.depth, "tokens": manifest.tokens, **cfg.comparator}
+                **cfg.comparator, depth=manifest.depth, tokens=manifest.tokens
             )
             self.train_cfg = TrainConfig(**{"seed": seed, **cfg.train})
         with _stage("evaluation"):
@@ -199,11 +200,19 @@ class Pipeline:
 
     @cached_property
     def model(self):
-        """The comparator in the seed directory's checkpoint."""
+        """The comparator in the seed directory's checkpoint; a CheckpointError
+        naming the first field where its config differs from this run's."""
         blob, header = checkpoint_paths(self.out)
         if not os.path.exists(blob):
             raise FileNotFoundError(f"no checkpoint at {blob}; run `train` first")
-        return comparator.load_checkpoint(blob, header)[0]
+        model = comparator.load_checkpoint(blob, header)[0]
+        saved, run = model.cfg, self.comparator_cfg
+        if saved != run:
+            name = next(n for n in asdict(saved) if getattr(saved, n) != getattr(run, n))
+            raise comparator.CheckpointError(
+                f"{header}: comparator {name} is {getattr(saved, name)!r}, "
+                f"the config's {getattr(run, name)!r}")
+        return model
 
 
 def prepare(cfg, seed, out=None):

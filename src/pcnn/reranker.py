@@ -93,16 +93,15 @@ class RerankTable:
 
 
 class ModelScorer:
-    """Scores pairs with a trained comparator, batched."""
+    """Scores pairs with a trained comparator, in `score_rows`' batches."""
 
-    def __init__(self, model, batch_size=256):
+    def __init__(self, model):
         self.model = model
-        self.batch_size = batch_size
 
     def score(self, rows1, rows2, *, store, query_split):
         """Eval-mode scores; each distinct row goes through the branch once."""
         return score_rows(self.model, store.grids(query_split), rows1,
-                          store.grids("train"), rows2, self.batch_size)
+                          store.grids("train"), rows2)
 
 
 class OracleScorer:

@@ -297,6 +297,27 @@ def test_config_commands_are_the_experiment_steps(capsys, tmp_path, monkeypatch)
     assert isinstance(seen[0], experiment.Pipeline) and seen[0].cfg.synthetic == TINY
 
 
+@pytest.mark.parametrize("seeds, argv, written", [
+    ([7], [], "seed_7"),  # no --seed: the config's only seed
+    ([7], ["--seed", "3"], "seed_3"),  # an explicit --seed wins
+    ([7, 8], ["--seed", "8"], "seed_8"),
+    ([7, 8], [], None),  # no --seed and two config seeds: which one is unsaid
+], ids=["config_seed", "seed_wins", "seed_picks_one", "two_seeds_fail"])
+def test_config_command_seed(capsys, tmp_path, seeds, argv, written):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seeds": seeds, "output_dir": str(tmp_path / "out"),
+                                "synthetic": TINY}))
+    code, out, err = run_cli(capsys, "synth", "--config", str(path), *argv)
+    if written is None:
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and "seeds" in doc["message"]
+        assert not (tmp_path / "out").exists()
+    else:
+        assert code == 0, err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [written]
+
+
 def test_ceiling_creates_no_seed_directory(cfg_path, capsys, tmp_path):
     root, path = cfg_path
     cfg = json.loads(path.read_text())

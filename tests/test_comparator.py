@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -14,6 +15,7 @@ from pcnn import comparator
 from pcnn import numkernel as nk
 from pcnn.classifier import SyntheticClassifier
 from pcnn.comparator import (
+    SCORE_BATCH,
     CheckpointError,
     ComparatorConfig,
     ComparatorModel,
@@ -27,7 +29,6 @@ from pcnn.comparator import (
     one_cycle_lr,
     pairset_rows,
     save_checkpoint,
-    score_pairset,
     score_rows,
     train,
 )
@@ -408,13 +409,32 @@ class TestTraining:
         store, _, eval_pairs = tiny_task
         model = ComparatorModel(small_cfg(), seed=3)
         model.mlp_w[3].data = np.random.default_rng(5).normal(size=model.mlp_w[3].data.shape)
-        whole = score_pairset(model, store, eval_pairs, batch_size=len(eval_pairs.pairs))
-        small = score_pairset(model, store, eval_pairs, batch_size=5)
+        rows1, rows2 = pairset_rows(store, eval_pairs)
+        grids1, grids2 = store.grids(eval_pairs.split), store.grids("train")
+        whole = score_rows(model, grids1, rows1, grids2, rows2, batch_size=len(eval_pairs.pairs))
+        small = score_rows(model, grids1, rows1, grids2, rows2, batch_size=5)
         np.testing.assert_allclose(small, whole, atol=1e-12)
         p = eval_pairs.pairs[0]
         one = model.score_pairs(store.grid("test", p.query_id)[None],
                                 store.grid("train", p.neighbor_id)[None])
         assert small[0] == pytest.approx(one[0], abs=1e-12)
+
+    def test_eval_scores_in_score_batch_chunks(self, tiny_task, monkeypatch):
+        # the training batch is no scoring batch: each epoch's eval scores in
+        # the chunks `pcnn eval` scores in
+        store, train_pairs, eval_pairs = tiny_task
+        real, batches = comparator.score_rows, []
+
+        def score_rows(*args, **kwargs):
+            call = inspect.signature(real).bind(*args, **kwargs)
+            call.apply_defaults()
+            batches.append(call.arguments["batch_size"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(comparator, "score_rows", score_rows)
+        cfg = TrainConfig(epochs=2, batch_size=64, max_lr=0.02, seed=3)
+        train(ComparatorModel(small_cfg(), seed=3), store, train_pairs, eval_pairs, cfg)
+        assert batches == [SCORE_BATCH] * 2 and SCORE_BATCH == 256
 
     def test_selected_epoch_has_max_f1(self, tiny_task):
         store, train_pairs, eval_pairs = tiny_task

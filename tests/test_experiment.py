@@ -299,17 +299,27 @@ class TestPipeline:
         ("rerank", {"prob_floor": "0.1"}, "evaluation"),
         ("rerank", {"prob_floor": None}, "evaluation"),
         ("sampler", {"seed": True}, "sampling"),
+        ("comparator", {"heads": 2, "depth": 4}, "training"),  # the store fixes depth 8
+        ("comparator", {"tokens": 3}, "training"),  # and tokens 2
     ])
     def test_bad_config_section_fails_before_training(self, tmp_path, monkeypatch,
                                                        section, bad, stage):
         def no_training(*args, **kwargs):
             raise AssertionError("comparator.train was called")
 
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("pairsampler.sample_train was called")
+
         monkeypatch.setattr(comparator, "train", no_training)
+        monkeypatch.setattr(pairsampler, "sample_train", no_sampling)
         cfg = tiny_cfg(tmp_path, **{section: bad})
         with pytest.raises(StageError) as info:
             run_seed(cfg, 1, str(tmp_path / "out" / "seed_1"))
         assert info.value.stage == stage
+        # the error names a field the row sets away from tiny_cfg's section
+        base = getattr(tiny_cfg(tmp_path), section)
+        assert any(name in str(info.value) for name, value in bad.items()
+                   if name not in base or base[name] != value)
         with pytest.raises(StageError, match=stage):
             prepare(cfg, 1)
 
@@ -552,3 +562,14 @@ class TestRun:
         np.testing.assert_array_equal(
             model.score_pairs(g1, g2), fresh.score_pairs(g1, g2)
         )
+
+    @pytest.mark.parametrize("name, saved, value", [("heads", 2, 4), ("mlp_hidden", 32, 16)])
+    def test_checkpoint_of_another_comparator_config_fails(self, tmp_path, name, saved, value):
+        train = {"epochs": 1, "batch_size": 64, "max_lr": 0.02}
+        experiment.train_step(prepare(tiny_cfg(tmp_path, train=train), 1))
+        pipe = prepare(tiny_cfg(tmp_path, train=train, comparator={"heads": 2, name: value}), 1)
+        header = tmp_path / "out" / "seed_1" / "checkpoint.json"
+        for step in (experiment.eval_step, experiment.rerank_step, experiment.sanity_step):
+            with pytest.raises(comparator.CheckpointError, match=re.escape(
+                    f"{header}: comparator {name} is {saved}, the config's {value}")):
+                step(pipe)

@@ -1,13 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from pcnn import reranker
 from pcnn.classifier import ClassifierOutput, SyntheticClassifier, ValidationError, top_q
-from pcnn.comparator import ComparatorConfig, ComparatorModel
+from pcnn.comparator import ComparatorConfig, ComparatorModel, score_rows
 from pcnn.embedstore import build_store
 from pcnn.nnindex import ClassIndex
 from pcnn.reranker import (
@@ -44,6 +45,12 @@ def grid_store(grids1, grids2):
     records = {"test": [(i, 0) for i in range(len(grids1))],
                "train": [(i, 0) for i in range(len(grids2))]}
     return build_store("grids", ["c0"], records, {"test": grids1, "train": grids2})
+
+
+def scoring_batch(monkeypatch, batch_size):
+    """From here on, `ModelScorer` scores through `score_rows` in chunks of
+    `batch_size` rather than `SCORE_BATCH`."""
+    monkeypatch.setattr(reranker, "score_rows", partial(score_rows, batch_size=batch_size))
 
 
 def score_all(scorer, store):
@@ -249,14 +256,15 @@ class TestEvaluate:
         assert len(report.results_soft) == store.size("test")
 
     @pytest.mark.parametrize("floor", [0.0, 0.15])
-    def test_one_pass_matches_separate_modes(self, world, tmp_path, floor):
+    def test_one_pass_matches_separate_modes(self, world, tmp_path, monkeypatch, floor):
         # soft and hard come from one scoring pass; each must serialize byte
         # for byte like its own rerank_split, and the arrays they share are
         # read-only
         store, index, out = world
         model = ComparatorModel(ComparatorConfig(depth=5, tokens=3, heads=1), seed=0)
         model.mlp_w[3].data = np.random.default_rng(4).normal(size=model.mlp_w[3].data.shape)
-        scorer = ModelScorer(model, batch_size=7)
+        scoring_batch(monkeypatch, 7)
+        scorer = ModelScorer(model)
         cfg = RerankConfig(k=3, n_neighbors=2, prob_floor=floor)
         report = evaluate_rerank(store, out, index, scorer, cfg)
         for mode, results in (("soft", report.results_soft), ("hard", report.results_hard)):
@@ -433,14 +441,16 @@ class TestScorers:
                       / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)))
         np.testing.assert_allclose(s, want, rtol=1e-12)
 
-    def test_model_scorer_batches_consistently(self):
+    def test_model_scorer_batches_consistently(self, monkeypatch):
         cfg = ComparatorConfig(depth=5, tokens=3, heads=1)
         model = ComparatorModel(cfg, seed=0)
         rng = np.random.default_rng(3)
         model.mlp_w[3].data = rng.normal(size=model.mlp_w[3].data.shape)
         store = grid_store(rng.normal(size=(10, 3, 5)), rng.normal(size=(10, 3, 5)))
-        a = score_all(ModelScorer(model, batch_size=3), store)
-        b = score_all(ModelScorer(model, batch_size=100), store)
+        scoring_batch(monkeypatch, 3)
+        a = score_all(ModelScorer(model), store)
+        scoring_batch(monkeypatch, 100)
+        b = score_all(ModelScorer(model), store)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_model_scorer_branches_each_distinct_row_once(self, monkeypatch):
@@ -450,7 +460,8 @@ class TestScorers:
         model.mlp_w[3].data = rng.normal(size=model.mlp_w[3].data.shape)
         store = grid_store(rng.normal(size=(3, 3, 5)), rng.normal(size=(4, 3, 5)))
         rows1, rows2 = rng.integers(0, 3, 17), rng.integers(0, 4, 17)
-        scorer = ModelScorer(model, batch_size=5)
+        scoring_batch(monkeypatch, 5)
+        scorer = ModelScorer(model)
         real, branched = model.branch, []
 
         def branch(grids):

@@ -22,7 +22,11 @@ directory:
 - `sweep`: `pcnn sweep` (`experiment.run`) at the c10 config with seeds 7
   and 8: both seed directories and `summary.json`, its output in
   `cli/stdout/sweep.json`;
-- rejected configs: a bool and a string in real fields through `ceiling`,
+- `config_seed`: `ceiling` at the `posttrain_cli` shape with `seeds`
+  [31] and no `--seed`, so the seed a config command picks by itself shows
+  in `cli/stdout/config_seed.json`;
+- rejected configs: a bool and a string in real fields and a
+  `comparator.depth` of 32 on a depth-64 store through `ceiling`,
   and a bool seed and a repeated seed through `sweep`, each with its output in
   `cli/stdout/bad_<name>.json`, so a change to what is rejected, or how it
   is named, shows in the report. Whatever a tree that accepts them writes
@@ -90,6 +94,7 @@ CLI_CONFIG = {"synthetic": {"classes": 20, "train_per_class": 30, "test_per_clas
 BAD_CONFIGS = {
     "jitter_sigma_bool": ("ceiling", {**CLI_CONFIG, "comparator": {"jitter_sigma": True}}),
     "prob_floor_str": ("ceiling", {**CLI_CONFIG, "rerank": {"k": 10, "prob_floor": "0.1"}}),
+    "comparator_depth": ("ceiling", {**CLI_CONFIG, "comparator": {"depth": 32}}),
     "seeds_bool": ("sweep", {**_C10, "seeds": [True]}),
     "seeds_dup": ("sweep", {**_C10, "seeds": [1, 1]}),
 }
@@ -192,6 +197,9 @@ def run_shapes():
     _run_cli(cli, "index", [*files, "--query-id", str(test_id), "--k", "5"])
     _run_cli(cli, "index", train, "index_train")
     _run_cli(cli, "index", [*train, "--class-id", str(train_class)], "index_train_class")
+    config_seed = _write_json(Path("cli/config_seed.json"),
+                              {**CLI_CONFIG, "seeds": [CLI_SEED], "output_dir": "cli/out"})
+    _run_cli(cli, "ceiling", ["--config", config_seed], "config_seed")
     sweep = _write_json(Path("sweep/config.json"), {**_C10, "seeds": [7, 8], "output_dir": "sweep"})
     _run_cli(cli, "sweep", ["--config", sweep])
     for name, (cmd, config) in BAD_CONFIGS.items():
