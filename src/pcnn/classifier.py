@@ -10,6 +10,7 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at import, not in the first run
 
 from .atomicio import check_blob, sha256, write_blob
 from .seedstreams import SeedStreams

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at import, not in the first run
 
 from . import blas
 from . import numkernel as nk

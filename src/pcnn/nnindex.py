@@ -8,6 +8,8 @@ index is immutable after build; `subsample` returns a new index.
 """
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique loads it; at import, not in the first run
+import numpy.random  # noqa: F401  loaded at import, not in the first run
 
 from . import kernels
 

@@ -15,6 +15,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at import, not in the first run
+import numpy.rec  # noqa: F401  loaded at import, not in the first run
 
 from .atomicio import atomic_open
 from .classifier import top_q

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at import, not in the first run
 
 from .atomicio import atomic_open
 from .classifier import top_q

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded at import, not in the first run
 
 from .embedstore import build_store
 from .validate import check_ints, check_reals
