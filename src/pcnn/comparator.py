@@ -36,9 +36,9 @@ def _mallopt(param, value):
         libc.mallopt(param, value)
 
 
-# A training step's graph (about 20 MB at the default shape) is freed at once
-# when the next step's tape opens. glibc would hand the free top of the heap
-# back to the kernel and the next forward would fault every page in again
+# A training step's arrays (about 20 MB at the default shape) are all freed
+# by the end of its backward and update. glibc would hand the free top of the
+# heap back to the kernel and the next forward would fault every page in again
 # (2,000-3,000 minor faults a step), so the process keeps up to 64 MB of free
 # heap top. Setting a threshold turns off glibc's dynamic one, so the mmap
 # threshold is fixed at 32 MB, the ceiling the dynamic rule grows to, and the
@@ -261,10 +261,8 @@ class ComparatorModel:
             return self._head(nk.reshape(nk.gather(recs["cls"], sides), shape), mode)
         # block 0's first cross layer: each CLS query over its partner's rows
         partners = np.stack([i2, i1], axis=1).ravel()
-        cls = nk.attend(
-            nk.gather(recs["q"], sides), nk.gather(recs["k"], partners),
-            nk.gather(recs["v"], partners), self.cross_attn[0][0], cfg.heads,
-        )
+        cls = nk.attend_rows(recs["q"], recs["k"], recs["v"], sides, partners,
+                             self.cross_attn[0][0], cfg.heads)
         if "tokens" in recs:
             cls = self._pair_layers(cls, nk.gather(recs["tokens"], sides))
         return self._head(nk.reshape(cls, shape), mode)
@@ -360,17 +358,37 @@ def metrics_from_scores(scores, labels, threshold=0.5):
     )
 
 
-def distinct_grids(grids1, rows1, grids2, rows2):
+def distinct_rows(grids1, rows1, grids2, rows2):
     """The distinct grids among the pair sides (grids1[rows1[i]],
-    grids2[rows2[i]]), and each side's index into them. When both sides
-    index the same array, a row on both sides counts once."""
+    grids2[rows2[i]]) as parts [(grids, rows), ...]: the parts' grids[rows],
+    stacked in order, hold each distinct grid once. Also each side's index
+    into that stack. When both sides index the same array, a row on both
+    sides counts once."""
     rows1, rows2 = np.asarray(rows1, dtype=np.intp), np.asarray(rows2, dtype=np.intp)
     if grids1 is grids2:
         distinct, at = np.unique(np.concatenate([rows1, rows2]), return_inverse=True)
-        return grids1[distinct], at[: len(rows1)], at[len(rows1) :]
+        return [(grids1, distinct)], at[: len(rows1)], at[len(rows1) :]
     distinct1, at1 = np.unique(rows1, return_inverse=True)
     distinct2, at2 = np.unique(rows2, return_inverse=True)
-    return np.concatenate([grids1[distinct1], grids2[distinct2]]), at1, at2 + len(distinct1)
+    return [(grids1, distinct1), (grids2, distinct2)], at1, at2 + len(distinct1)
+
+
+def stacked_rows(parts, lo, hi):
+    """Rows lo:hi of the stack of the parts' grids[rows], read from the
+    sources without building the stack."""
+    pieces, start = [], 0
+    for grids, rows in parts:
+        a, b = max(lo - start, 0), min(hi - start, len(rows))
+        if a < b:
+            pieces.append(grids[rows[a:b]])
+        start += len(rows)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def distinct_grids(grids1, rows1, grids2, rows2):
+    """`distinct_rows` with the distinct grids stacked into one array."""
+    parts, at1, at2 = distinct_rows(grids1, rows1, grids2, rows2)
+    return stacked_rows(parts, 0, sum(len(rows) for _, rows in parts)), at1, at2
 
 
 def _split(count, work):
@@ -399,31 +417,34 @@ def score_rows(model, grids1, rows1, grids2, rows2, batch_size=SCORE_BATCH):
     """Eval-mode scores of the pairs (grids1[rows1[i]], grids2[rows2[i]]).
 
     One record set serves the call: each distinct grid goes through
-    `model.records` once, `batch_size` grids at a time, and `pair_logits`
-    then runs `batch_size` pairs at a time. Both loops split their chunks
-    between the caller and one worker thread (`_split`), each writing its
-    own slice, so the scores are bitwise equal to `model.score_pairs` on the
-    same pair batches. The tape stack is global, so no tape may be active.
+    `model.records` once, `batch_size` grids at a time read from the two
+    sources (no stacked copy of the distinct grids is made), and
+    `pair_logits` then runs `batch_size` pairs at a time. Both loops split
+    their chunks between the caller and one worker thread (`_split`), each
+    writing its own slice, so the scores are bitwise equal to
+    `model.score_pairs` on the same pair batches. The tape stack is global,
+    so no tape may be active.
     """
     if nk._TAPES:
         raise nk.TapeError("score_rows runs outside any tape")
     scores = np.empty(len(rows1))
     if not len(scores):
         return scores
-    grids, at1, at2 = distinct_grids(grids1, rows1, grids2, rows2)
+    parts, at1, at2 = distinct_rows(grids1, rows1, grids2, rows2)
+    n_grids = sum(len(rows) for _, rows in parts)
     recs, allocating = {}, threading.Lock()
 
     def record_chunk(i):
         lo = i * batch_size
-        chunk = model.records(grids[lo : lo + batch_size])
+        chunk = model.records(stacked_rows(parts, lo, lo + batch_size))
         with allocating:  # the first chunk done sizes every array
             for name, t in chunk.items():
                 if name not in recs:
-                    recs[name] = np.empty((len(grids),) + t.shape[1:])
+                    recs[name] = np.empty((n_grids,) + t.shape[1:])
         for name, t in chunk.items():
             recs[name][lo : lo + len(t.data)] = t.data
 
-    _split(math.ceil(len(grids) / batch_size), record_chunk)
+    _split(math.ceil(n_grids / batch_size), record_chunk)
     recs = {name: nk.Tensor(a) for name, a in recs.items()}
 
     def pair_batch(i):
@@ -521,6 +542,8 @@ def train(model, store, train_pairs, eval_pairs, cfg):
             else:
                 grids, at1, at2 = distinct_grids(grids1, rows1[idx], grids2, rows2[idx])
             lr = one_cycle_lr(step, total_steps, cfg)
+            for _, t in params:
+                t.grad = None
             with nk.Tape() as tape:
                 logits = model.pair_logits(model.records(grids), at1, at2, "train")
                 loss = nk.bce_with_logits(logits, y)
@@ -528,8 +551,6 @@ def train(model, store, train_pairs, eval_pairs, cfg):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            for _, t in params:
-                t.grad = None
             nk.backward(tape, loss)
             for name, t in params:
                 if t.grad is None:
@@ -537,6 +558,7 @@ def train(model, store, train_pairs, eval_pairs, cfg):
                 v = velocity[name]
                 v *= cfg.momentum
                 v += t.grad
+                t.grad = None
                 t.data = t.data - lr * v
             epoch_loss += float(loss.data) * len(idx)
             correct += int(np.sum((logits.data > 0) == (y == 1)))
@@ -544,7 +566,6 @@ def train(model, store, train_pairs, eval_pairs, cfg):
             step += 1
         if bad := _non_finite(model.state_arrays()):
             raise TrainingError(f"non-finite parameter {bad!r} after epoch {epoch}")
-        tape = logits = loss = None  # free the last step's node outputs before scoring
         metrics = evaluate_binary(model, store, eval_pairs)
         row = {
             "epoch": epoch,
@@ -623,7 +644,7 @@ def load_checkpoint(path_blob, path_header):
     for name in sorted(shapes):
         count = math.prod(shapes[name])
         snap[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(
-            shapes[name]).copy()
+            shapes[name])  # read-only views of the blob; restore copies them
         offset += 8 * count
     if bad := _non_finite(snap):
         raise CheckpointError(f"{path_blob}: array {bad!r} holds a non-finite value")

@@ -75,7 +75,8 @@ _TAPES = []
 
 
 class Tape:
-    """Ordered record of one forward pass; creation order is topological.
+    """Ordered record of one forward pass: the nodes of the op outputs a
+    gradient flows through, in creation order, which is topological.
     It replays once: `backward` drops each node's closure as it runs."""
 
     def __init__(self):
@@ -91,14 +92,51 @@ class Tape:
         return False
 
 
+class Node:
+    """What the backward pass keeps of a tensor a gradient flows to: the
+    gradient, and for an op output recorded on a tape the closure that hands
+    it on to the nodes of the op's inputs."""
+
+    __slots__ = ("grad", "_backward")
+
+    def __init__(self, backward=None):
+        self.grad = None
+        self._backward = backward
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward")
+    """An array and, when a gradient flows to it, its `node`.
+
+    A backward closure holds nodes and the arrays it reads, never a Tensor,
+    so an op output that no backward reads is freed as soon as the forward
+    code drops it.
+    """
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._backward = None
+        self.node = Node() if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
+    @property
+    def _backward(self):  # op profilers wrap an output's closure through this
+        return None if self.node is None else self.node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.node._backward = fn
 
     @property
     def shape(self):
@@ -113,23 +151,26 @@ def _as_tensor(x):
 
 
 def _make(data, parents, backward_fn):
+    """The output of an op whose inputs have the nodes `parents` (None for an
+    input no gradient flows to); under a tape, its node is recorded with
+    `backward_fn`."""
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if _TAPES and out.requires_grad:
-        out._backward = backward_fn
-        _TAPES[-1].nodes.append(out)
+    if any(p is not None for p in parents):
+        out.node = Node(backward_fn if _TAPES else None)
+        if _TAPES:
+            _TAPES[-1].nodes.append(out.node)
     return out
 
 
-def _accum(t, g):
-    """Add g into t.grad out of place; the first gradient is taken as is.
+def _accum(node, g):
+    """Add g into node.grad out of place; the first gradient is taken as is.
 
     A grad may therefore alias another node's grad or a view of it, so no
     code may update a .grad in place.
     """
-    if not t.requires_grad:
+    if node is None:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -143,6 +184,34 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _source_rows(rows, m):
+    """`rows` as indices into m source rows, a negative row counted from the
+    end as numpy counts it (the scatter below takes none); IndexError for a
+    row out of range."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.size and not -m <= rows.min() <= rows.max() < m:
+        raise IndexError(f"rows out of range for {m} source rows")
+    return np.where(rows < 0, rows + m, rows)
+
+
+def _scatter_rows(g, rows, m):
+    """Row j of g added into row rows[j] of an (m, ...) array of zeros, so
+    repeated rows sum and rows never named stay zero; g as is when rows is
+    None.
+
+    This is scipy.sparse's CSC (m, n) @ (n, width) loop on the one-hot
+    matrix whose column j holds a single 1 at row rows[j]: out[rows[j]] +=
+    1.0 * g[j], in the order of j. It takes no negative row.
+    """
+    if rows is None:
+        return g
+    n, width = len(rows), math.prod(g.shape[1:])
+    out = np.zeros((m,) + g.shape[1:])
+    _csc_matvecs(m, n, width, np.arange(n + 1), rows, np.ones(n),
+                 np.ascontiguousarray(g, dtype=np.float64).reshape(-1), out.reshape(-1))
+    return out
+
+
 def backward(tape, loss):
     """Reverse-replay the tape, accumulating grads into requiring tensors.
 
@@ -150,16 +219,16 @@ def backward(tape, loss):
     grad is complete when it is reached; it is dropped once propagated, which
     frees it while the replay goes on. So is the node's closure, and with it
     the op's saved arrays and its links to its parents: after the replay the
-    tape holds only the nodes' outputs, and no graph outlives it. Leaf grads
-    are kept. A tape replays once; a second backward raises TapeError."""
+    tape holds only empty nodes, and no graph outlives it. Leaf grads are
+    kept. A tape replays once; a second backward raises TapeError."""
     if tape.replayed:
         raise TapeError("this tape was already replayed")
-    if not any(n is loss for n in tape.nodes):
+    if loss.node is None or not any(n is loss.node for n in tape.nodes):
         raise TapeError("loss was not produced under this tape")
     if loss.data.shape != ():
         raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
     tape.replayed = True
-    loss.grad = np.ones((), dtype=np.float64)
+    loss.node.grad = np.ones((), dtype=np.float64)
     for node in reversed(tape.nodes):
         back, node._backward = node._backward, None
         if node.grad is None:
@@ -173,45 +242,45 @@ def backward(tape, loss):
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data + b.data
+    an, bn, ashape, bshape = a.node, b.node, a.data.shape, b.data.shape
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(an, _unbroadcast(g, ashape))
+        _accum(bn, _unbroadcast(g, bshape))
 
-    return _make(out_data, (a, b), back)
+    return _make(a.data + b.data, (an, bn), back)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data - b.data
+    an, bn, ashape, bshape = a.node, b.node, a.data.shape, b.data.shape
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(an, _unbroadcast(g, ashape))
+        _accum(bn, _unbroadcast(-g, bshape))
 
-    return _make(out_data, (a, b), back)
+    return _make(a.data - b.data, (an, bn), back)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data * b.data
+    an, bn, ad, bd = a.node, b.node, a.data, b.data
 
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(an, _unbroadcast(g * bd, ad.shape))
+        _accum(bn, _unbroadcast(g * ad, bd.shape))
 
-    return _make(out_data, (a, b), back)
+    return _make(ad * bd, (an, bn), back)
 
 
 def pow_scalar(a, p):
     a = _as_tensor(a)
-    out_data = a.data**p
+    an, ad = a.node, a.data
 
     def back(g):
-        _accum(a, g * p * a.data ** (p - 1))
+        _accum(an, g * p * ad ** (p - 1))
 
-    return _make(out_data, (a,), back)
+    return _make(ad**p, (an,), back)
 
 
 def matmul(a, b):
@@ -221,149 +290,156 @@ def matmul(a, b):
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
     if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
         raise ShapeError(f"matmul: batch dims differ, {a.data.shape} @ {b.data.shape}")
+    an, bn, ad, bd = a.node, b.node, a.data, b.data
 
     def back(g):
-        if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if an is not None:
+            _accum(an, g @ np.swapaxes(bd, -1, -2))
+        if bn is not None:
+            _accum(bn, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
-    return _make(a.data @ b.data, (a, b), back)
+    return _make(ad @ bd, (an, bn), back)
 
 
 def reshape(a, shape):
     a = _as_tensor(a)
-    old = a.data.shape
-    out_data = a.data.reshape(shape)
+    an, old = a.node, a.data.shape
 
     def back(g):
-        _accum(a, g.reshape(old))
+        _accum(an, g.reshape(old))
 
-    return _make(out_data, (a,), back)
+    return _make(a.data.reshape(shape), (an,), back)
 
 
 def transpose(a, axes):
     a = _as_tensor(a)
-    inv = np.argsort(axes)
-    out_data = a.data.transpose(axes)
+    an, inv = a.node, np.argsort(axes)
 
     def back(g):
-        _accum(a, g.transpose(inv))
+        _accum(an, g.transpose(inv))
 
-    return _make(out_data, (a,), back)
+    return _make(a.data.transpose(axes), (an,), back)
 
 
 def concat(tensors, axis):
     tensors = [_as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    nodes = [t.node for t in tensors]
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def back(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            _accum(node, piece)
 
-    return _make(out_data, tuple(tensors), back)
+    return _make(out_data, nodes, back)
 
 
 def slice_axis(a, axis, start, stop):
     a = _as_tensor(a)
+    an, shape = a.node, a.data.shape
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
-    out_data = a.data[idx]
 
     def back(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[idx] = g
-        _accum(a, full)
+        _accum(an, full)
 
-    return _make(out_data, (a,), back)
+    return _make(a.data[idx], (an,), back)
 
 
 def gather(a, rows):
     """Rows `rows` of `a` along axis 0, repeats allowed; one tape node.
 
     The backward scatter-adds each output row's gradient into its source row
-    as a one-hot sparse matmul, so repeated rows sum and rows never gathered
-    get a zero gradient.
+    (`_scatter_rows`), so repeated rows sum and rows never gathered get a
+    zero gradient.
     """
     a = _as_tensor(a)
-    rows = np.asarray(rows, dtype=np.intp)
-    out_data = a.data[rows]  # raises IndexError for a row out of range
-    m = a.data.shape[0]
-    rows = np.where(rows < 0, rows + m, rows)  # the C loop below takes no negative row
+    an, m = a.node, a.data.shape[0]
+    rows = _source_rows(rows, m)
+    out_data = a.data[rows]
 
     def back(g):
-        n, width = len(rows), math.prod(a.data.shape[1:])
-        out = np.zeros((m, width))
-        # scipy.sparse's CSC (m, n) @ (n, width) loop: column j of the one-hot
-        # matrix holds a single 1 at row rows[j]; out[rows[j]] += 1.0 * g[j]
-        _csc_matvecs(m, n, width, np.arange(n + 1), rows, np.ones(n),
-                     np.ascontiguousarray(g, dtype=np.float64).reshape(-1), out.reshape(-1))
-        _accum(a, out.reshape(a.data.shape))
+        _accum(an, _scatter_rows(g, rows, m))
 
-    return _make(out_data, (a,), back)
+    return _make(out_data, (an,), back)
 
 
 def broadcast_to(a, shape):
     a = _as_tensor(a)
-    out_data = np.broadcast_to(a.data, shape).copy()
+    an, old = a.node, a.data.shape
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(an, _unbroadcast(g, old))
 
-    return _make(out_data, (a,), back)
+    return _make(np.broadcast_to(a.data, shape).copy(), (an,), back)
 
 
 def mean_axis(a, axis, keepdims=False):
     a = _as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.data.shape[axis]
+    an, shape = a.node, a.data.shape
+    n = shape[axis]
 
     def back(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape) / n)
+        _accum(an, np.broadcast_to(g, shape) / n)
 
-    return _make(out_data, (a,), back)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (an,), back)
 
 
 def sum_all(a):
     a = _as_tensor(a)
-    out_data = np.asarray(a.data.sum())
+    an, shape = a.node, a.data.shape
 
     def back(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        _accum(an, np.broadcast_to(g, shape).copy())
 
-    return _make(out_data, (a,), back)
+    return _make(np.asarray(a.data.sum()), (an,), back)
 
 
 def mean_all(a):
     a = _as_tensor(a)
-    out_data = np.asarray(a.data.mean())
-    n = a.data.size
+    an, shape, n = a.node, a.data.shape, a.data.size
 
     def back(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
+        _accum(an, np.broadcast_to(g / n, shape).copy())
 
-    return _make(out_data, (a,), back)
+    return _make(np.asarray(a.data.mean()), (an,), back)
 
 
 # ----------------------------------------------------------- nonlinearities
 
 
 def gelu(x):
-    """Exact erf-based GELU: x * Phi(x)."""
+    """Exact erf-based GELU: x * Phi(x), with Phi = 0.5 * (1 + erf(x / sqrt 2)).
+
+    Each step writes into the one temporary it starts, in the order the
+    formula gives; products and sums are written with their operands
+    swapped where that saves a copy, which IEEE arithmetic leaves bitwise
+    equal.
+    """
     x = _as_tensor(x)
-    phi = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out_data = x.data * phi
+    xn, xd = x.node, x.data
+    phi = np.multiply(xd, _INV_SQRT2, out=np.empty_like(xd))
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
 
     def back(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        _accum(x, g * (phi + x.data * pdf))
+        # g * (phi + x * pdf(x)), pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi)
+        d = np.multiply(xd, -0.5, out=np.empty_like(xd))
+        d *= xd
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= xd
+        d += phi
+        d *= g
+        _accum(xn, d)
 
-    return _make(out_data, (x,), back)
+    return _make(xd * phi, (xn,), back)
 
 
 def _sigmoid(z):
@@ -378,26 +454,27 @@ def _sigmoid(z):
 
 def sigmoid(x):
     x = _as_tensor(x)
-    out_data = _sigmoid(x.data)
+    xn, out_data = x.node, _sigmoid(x.data)
 
     def back(g):
-        _accum(x, g * out_data * (1.0 - out_data))
+        _accum(xn, g * out_data * (1.0 - out_data))
 
-    return _make(out_data, (x,), back)
+    return _make(out_data, (xn,), back)
 
 
 def softmax(x):
     """Softmax over the last axis."""
     x = _as_tensor(x)
+    xn = x.node
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accum(x, out_data * (g - inner))
+        _accum(xn, out_data * (g - inner))
 
-    return _make(out_data, (x,), back)
+    return _make(out_data, (xn,), back)
 
 
 def bce_with_logits(o, y):
@@ -408,15 +485,14 @@ def bce_with_logits(o, y):
         raise ShapeError(f"bce: logits {o.data.shape} vs labels {y.shape}")
     if y.size and not np.all((y == 0) | (y == 1)):
         raise ValueError("bce labels must be 0 or 1")
-    z = o.data
+    on, z = o.node, o.data
     loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    out_data = np.asarray(loss.mean())
     n = max(z.size, 1)
 
     def back(g):
-        _accum(o, g * (_sigmoid(z) - y) / n)
+        _accum(on, g * (_sigmoid(z) - y) / n)
 
-    return _make(out_data, (o,), back)
+    return _make(np.asarray(loss.mean()), (on,), back)
 
 
 # ------------------------------------------------------------------- layers
@@ -429,21 +505,21 @@ def linear(x, w, b):
         raise ShapeError(f"linear: input {x.data.shape} does not match weight {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear: bias {b.data.shape} does not match weight {w.data.shape}")
-    x2 = x.data.reshape(-1, w.data.shape[0])
-    out2 = x2 @ w.data
+    xn, wn, bn, xshape, wd = x.node, w.node, b.node, x.data.shape, w.data
+    x2 = x.data.reshape(-1, wd.shape[0])
+    out2 = x2 @ wd
     out2 += b.data
-    out_data = out2.reshape(x.data.shape[:-1] + b.data.shape)
 
     def back(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            _accum(w, x2.T @ g2)
-        if b.requires_grad:
-            _accum(b, g2.sum(axis=0))
+        if xn is not None:
+            _accum(xn, (g2 @ wd.T).reshape(xshape))
+        if wn is not None:
+            _accum(wn, x2.T @ g2)
+        if bn is not None:
+            _accum(bn, g2.sum(axis=0))
 
-    return _make(out_data, (x, w, b), back)
+    return _make(out2.reshape(xshape[:-1] + b.data.shape), (xn, wn, bn), back)
 
 
 class BatchNormParams:
@@ -462,7 +538,9 @@ def batchnorm(x, params, mode):
     """Normalize (B, F) over the batch axis. Biased variance throughout.
 
     One tape node per call; train mode back-propagates through the batch
-    statistics, eval mode treats the running statistics as constants.
+    statistics, eval mode treats the running statistics as constants. The
+    centred input is normalized in place, and the backward reuses its own
+    temporaries the same way, in the order the formulas give.
     """
     x = _as_tensor(x)
     gamma, beta = params.gamma, params.beta
@@ -485,28 +563,35 @@ def batchnorm(x, params, mode):
         xc = x.data - params.running_mean
     else:
         raise ValueError(f"unknown batchnorm mode {mode!r}")
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    xc *= inv
+    xhat = xc
+    out_data = xhat * gamma.data
+    out_data += beta.data
+    xn, gn, bn, gd, n = x.node, gamma.node, beta.node, gamma.data, x.data.shape[0]
 
     def back(g):
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=0))
-        if beta.requires_grad:
-            _accum(beta, g.sum(axis=0))
-        if not x.requires_grad:
+        if gn is not None:
+            _accum(gn, (g * xhat).sum(axis=0))
+        if bn is not None:
+            _accum(bn, g.sum(axis=0))
+        if xn is None:
             return
-        dxhat = g * gamma.data
+        dxhat = g * gd
         if mode == "eval":
-            _accum(x, dxhat * inv)
+            dxhat *= inv
+            _accum(xn, dxhat)
             return
-        n = x.data.shape[0]
-        _accum(
-            x,
-            (inv / n)
-            * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)),
-        )
+        # (inv / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        total = dxhat.sum(axis=0)
+        term = dxhat * xhat
+        np.multiply(xhat, term.sum(axis=0), out=term)
+        dxhat *= n
+        dxhat -= total
+        dxhat -= term
+        dxhat *= inv / n
+        _accum(xn, dxhat)
 
-    return _make(out_data, (x, gamma, beta), back)
+    return _make(out_data, (xn, gn, bn), back)
 
 
 class AttentionParams:
@@ -542,7 +627,8 @@ def _attend(q, k, v, heads):
 
 def _attend_many(q, k, v, heads):
     """`_attend` with heads split and merged on the raw arrays and a batched
-    matmul per (batch row, head)."""
+    matmul per (batch row, head). The scores become the probabilities in
+    place."""
     (b, s, d), t = q.data.shape, k.data.shape[1]
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
@@ -553,33 +639,52 @@ def _attend_many(q, k, v, heads):
     def merge(x, n):  # (B, H, n, dh) -> (B, n, D)
         return x.transpose(0, 2, 1, 3).reshape(b, n, d)
 
+    qn, kn, vn = q.node, k.node, v.node
     qh, kh, vh = split(q.data, s), split(k.data, t), split(v.data, t)
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    out_data = merge(probs @ vh, s)
+    probs = qh @ np.swapaxes(kh, -1, -2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
 
     def back(g):
         gh = split(g, s)
-        if v.requires_grad:
-            _accum(v, merge(np.swapaxes(probs, -1, -2) @ gh, t))
-        if not (q.requires_grad or k.requires_grad):
+        if vn is not None:
+            _accum(vn, merge(np.swapaxes(probs, -1, -2) @ gh, t))
+        if qn is None and kn is None:
             return
-        dp = gh @ np.swapaxes(vh, -1, -2)
-        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
-        if q.requires_grad:
-            _accum(q, merge(ds @ kh, s))
-        if k.requires_grad:
-            _accum(k, merge(np.swapaxes(ds, -1, -2) @ qh, t))
+        ds = gh @ np.swapaxes(vh, -1, -2)  # probs * (dp - (dp * probs).sum(-1)) * scale
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        if qn is not None:
+            _accum(qn, merge(ds @ kh, s))
+        if kn is not None:
+            _accum(kn, merge(np.swapaxes(ds, -1, -2) @ qh, t))
 
-    return _make(out_data, (q, k, v), back)
+    return _make(merge(probs @ vh, s), (qn, kn, vn), back)
 
 
-def _attend_one(q, k, v, heads):
+def _attend_one(q, k, v, heads, rows=None, partners=None):
     """`_attend` for one query row: elementwise q * k, then one GEMM with a
     (D, H) head-indicator matrix sums each head's features, instead of one
-    (1, dh) @ (dh, T) matmul per (batch row, head)."""
-    (b, _, d), t = q.data.shape, k.data.shape[1]
+    (1, dh) @ (dh, T) matmul per (batch row, head).
+
+    With index arrays, output row i is the query q[rows[i]] over the keys
+    k[partners[i]] and values v[partners[i]]. Those rows are read into the
+    one (n, T, D) scratch buffer that holds q * k and then the weighted
+    values, so no gathered copy of k or v is made, and the backward
+    scatter-adds each row's gradient into its source row as `gather`'s
+    does. The backward recomputes the per-feature weights from the
+    probabilities instead of keeping them.
+    """
+    qn, kn, vn = q.node, k.node, v.node
+    qd, kd, vd = q.data, k.data, v.data
+    qm = len(qd)
+    if rows is not None:
+        rows, partners = _source_rows(rows, qm), _source_rows(partners, len(kd))
+        qd = qd[rows]
+    (b, _, d), t = qd.shape, kd.shape[1]
     indicator = np.repeat(np.eye(heads), d // heads, axis=0)  # feature j -> head j // dh
     scale = 1.0 / np.sqrt(d // heads)
 
@@ -589,25 +694,41 @@ def _attend_one(q, k, v, heads):
     def per_feature(x):  # (B, T, H) -> (B, T, D), each head's value repeated
         return (x.reshape(b * t, heads) @ indicator.T).reshape(b, t, d)
 
-    scores = per_head(q.data * k.data) * scale
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)  # (B, T, H), softmax over keys
-    weights = per_feature(probs)
-    out_data = (weights * v.data).sum(axis=1, keepdims=True)
+    def paired(src, buf):  # src's rows in the order of the output rows
+        return src if partners is None else np.take(src, partners, axis=0, out=buf, mode="clip")
+
+    buf = np.empty((b, t, d))
+    np.multiply(paired(kd, buf), qd, out=buf)
+    probs = per_head(buf)
+    probs *= scale
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)  # (B, T, H), softmax over keys
+    np.multiply(paired(vd, buf), per_feature(probs), out=buf)
+    out_data = buf.sum(axis=1, keepdims=True)
 
     def back(g):
-        if v.requires_grad:
-            _accum(v, weights * g)
-        if not (q.requires_grad or k.requires_grad):
+        if vn is not None:
+            gv = per_feature(probs)
+            gv *= g
+            _accum(vn, _scatter_rows(gv, partners, len(vd)))
+        if qn is None and kn is None:
             return
-        dp = per_head(g * v.data)
-        ds = per_feature(probs * (dp - (dp * probs).sum(axis=1, keepdims=True)) * scale)
-        if q.requires_grad:
-            _accum(q, (ds * k.data).sum(axis=1, keepdims=True))
-        if k.requires_grad:
-            _accum(k, ds * q.data)
+        buf = np.empty((b, t, d))
+        np.multiply(paired(vd, buf), g, out=buf)
+        dp = per_head(buf)  # probs * (dp - (dp * probs).sum(1)) * scale, per feature
+        dp -= (dp * probs).sum(axis=1, keepdims=True)
+        dp *= probs
+        dp *= scale
+        ds = per_feature(dp)
+        if qn is not None:
+            np.multiply(paired(kd, buf), ds, out=buf)
+            _accum(qn, _scatter_rows(buf.sum(axis=1, keepdims=True), rows, qm))
+        if kn is not None:
+            ds *= qd
+            _accum(kn, _scatter_rows(ds, partners, len(kd)))
 
-    return _make(out_data, (q, k, v), back)
+    return _make(out_data, (qn, kn, vn), back)
 
 
 def attention(xq, xkv, params, heads):
@@ -624,13 +745,15 @@ def attention(xq, xkv, params, heads):
     q = linear(xq, params.wq, params.bq)
     k = linear(xkv, params.wk, params.bk)
     v = linear(xkv, params.wv, params.bv)
-    return attend(q, k, v, params, heads)
-
-
-def attend(q, k, v, params, heads):
-    """Multi-head attention from q, k and v already projected with
-    `params`: the attention core, then the output projection."""
     return linear(_attend(q, k, v, heads), params.wo, params.bo)
+
+
+def attend_rows(q, k, v, rows, partners, params, heads):
+    """Multi-head attention of the one-row queries q[rows[i]] over the keys
+    k[partners[i]] and values v[partners[i]], all already projected with
+    `params`, then the output projection: `attention` on gathered rows,
+    without a gathered copy of k or v."""
+    return linear(_attend_one(q, k, v, heads, rows, partners), params.wo, params.bo)
 
 
 def mhsa(x, params, heads):

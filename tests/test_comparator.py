@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -219,6 +220,30 @@ class TestScoreRows:
         np.testing.assert_array_equal(got, want)
         caller = threading.get_ident()
         assert sorted(t == caller for t in scored_on) == [False, False, True, True, True]
+
+    @pytest.mark.parametrize("dtype2", [np.float32, np.float64])
+    def test_reads_the_distinct_grids_in_place(self, dtype2):
+        # a float32 source against a float32 one or, as in `sanity`'s random
+        # grid pass, a float64 one: each record chunk reads its rows from the
+        # sources, so the traced peak stays below the records plus a stacked
+        # float64 copy of the distinct grids
+        model = self.model(dict(blocks=1, depth=16, tokens=8))
+        rng = np.random.default_rng(14)
+        n, shape = 3000, (8, 16)
+        grids1 = rng.normal(size=(n, *shape)).astype(np.float32)
+        grids2 = rng.normal(size=(n, *shape)).astype(dtype2)
+        rows1, rows2 = rng.permutation(n), rng.permutation(n)
+        want = self.per_batch(model, grids1, rows1, grids2, rows2, 64)
+        record = sum(t.data[0].nbytes for t in model.records(grids1[:1]).values())
+        limit = 2 * n * record + 2 * n * math.prod(shape) * 8
+        tracemalloc.start()
+        try:
+            got = score_rows(model, grids1, rows1, grids2, rows2, batch_size=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, want)
+        assert peak < limit, (peak, limit)
 
     def test_worker_error_is_raised(self, worker, monkeypatch):
         model = self.model(dict(blocks=1))

@@ -1,11 +1,13 @@
 import ctypes
 import importlib.util
+import inspect
 import math
 import os
 import resource
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +450,33 @@ class TestAttendOneQuery:
         )
 
 
+    def test_partner_rows_bitwise_equal_to_gathered_rows(self):
+        # reading the rows in place gives the bits of gathering them first, in
+        # the output and in every gradient (the scatter-adds keep their order)
+        rng = np.random.default_rng(48)
+        q, k, v = (nk.Tensor(rng.normal(size=(5, n, 8)), requires_grad=True) for n in (1, 4, 4))
+        rows, partners = np.array([4, 0, 4, 2, 1, -1]), np.array([1, 3, 3, 0, 4, 3])
+        target = nk.Tensor(rng.normal(size=(6, 1, 8)))
+        results = []
+        for core in (lambda: nk._attend_one(q, k, v, 2, rows, partners),
+                     lambda: nk._attend_one(nk.gather(q, rows), nk.gather(k, partners),
+                                            nk.gather(v, partners), 2)):
+            for t in (q, k, v):
+                t.grad = None
+            with nk.Tape() as tape:
+                out = core()
+                loss = nk.sum_all(nk.mul(out, target))
+            nk.backward(tape, loss)
+            results.append([out.data] + [t.grad for t in (q, k, v)])
+        for one, gathered in zip(*results):
+            assert one.tobytes() == gathered.tobytes()
+
+    def test_partner_rows_out_of_range(self):
+        q, k, v = self.inputs(49)
+        with pytest.raises(IndexError):
+            nk._attend_one(q, k, v, 2, [0, 1], [0, 3])
+
+
 class TestCopyFreeAccumulation:
     def test_add_same_input_twice(self):
         x = nk.Tensor(np.random.default_rng(27).normal(size=(2, 3)), requires_grad=True)
@@ -494,13 +523,14 @@ def _pair_batch(rng, records, pairs):
 
 
 def _train_step(model, grids, at1, at2, y):
-    """One training step as `comparator.train` takes it; returns the logits
-    and loss, which `train` keeps while the next step runs."""
+    """One training step as `comparator.train` takes it, grads cleared before
+    the forward; returns the logits and loss, which `train` keeps while the
+    next step runs."""
+    for _, t in model.parameters():
+        t.grad = None
     with nk.Tape() as tape:
         logits = model.pair_logits(model.records(grids), at1, at2, "train")
         loss = nk.bce_with_logits(logits, y)
-    for _, t in model.parameters():
-        t.grad = None
     nk.backward(tape, loss)
     return logits, loss
 
@@ -508,10 +538,11 @@ def _train_step(model, grids, at1, at2, y):
 class TestTrainingStep:
     def test_tape_nodes_per_default_step(self):
         # default comparator at the synthetic default shape (D=64, T=4); the
-        # replay drops every closure and keeps every node
+        # replay drops every closure and keeps every node. The cross layer's
+        # partner rows are read in place: one node, not three gathers and a core
         model = ComparatorModel(ComparatorConfig(depth=64, tokens=4), seed=0)
         tape = _default_step(model, np.random.default_rng(29))
-        assert len(tape.nodes) == 30
+        assert len(tape.nodes) == 27
         assert all(node._backward is None for node in tape.nodes)
 
     def test_identical_steps_give_bitwise_equal_grads(self):
@@ -581,6 +612,128 @@ class TestTrainingStep:
             _train_step(model, *batch)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert sorted(faults[2:])[1] < 300, faults
+
+
+def _leaf(rng, *shape):
+    return nk.Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+# every op that records a tape node, built on small inputs that all require a
+# gradient; batchnorm in both modes, `_attend_one` plain and on index arrays
+OP_BUILDERS = {
+    "add": lambda r: nk.add(_leaf(r, 2, 3), _leaf(r, 3)),
+    "sub": lambda r: nk.sub(_leaf(r, 2, 3), _leaf(r, 1, 3)),
+    "mul": lambda r: nk.mul(_leaf(r, 2, 3), _leaf(r, 2, 3)),
+    "pow_scalar": lambda r: nk.pow_scalar(_leaf(r, 2, 3), 3.0),
+    "matmul": lambda r: nk.matmul(_leaf(r, 2, 3), _leaf(r, 3, 4)),
+    "reshape": lambda r: nk.reshape(_leaf(r, 2, 3), (3, 2)),
+    "transpose": lambda r: nk.transpose(_leaf(r, 2, 3, 4), (2, 0, 1)),
+    "concat": lambda r: nk.concat([_leaf(r, 2, 3), _leaf(r, 2, 1)], axis=1),
+    "slice_axis": lambda r: nk.slice_axis(_leaf(r, 2, 3), 1, 0, 2),
+    "gather": lambda r: nk.gather(_leaf(r, 4, 3), [3, 0, -1]),
+    "broadcast_to": lambda r: nk.broadcast_to(_leaf(r, 1, 3), (2, 3)),
+    "mean_axis": lambda r: nk.mean_axis(_leaf(r, 2, 3), 1),
+    "sum_all": lambda r: nk.sum_all(_leaf(r, 2, 3)),
+    "mean_all": lambda r: nk.mean_all(_leaf(r, 2, 3)),
+    "gelu": lambda r: nk.gelu(_leaf(r, 2, 3)),
+    "sigmoid": lambda r: nk.sigmoid(_leaf(r, 2, 3)),
+    "softmax": lambda r: nk.softmax(_leaf(r, 2, 3)),
+    "bce_with_logits": lambda r: nk.bce_with_logits(_leaf(r, 4), np.array([1.0, 0.0, 1.0, 0.0])),
+    "linear": lambda r: nk.linear(_leaf(r, 2, 3, 4), _leaf(r, 4, 5), _leaf(r, 5)),
+    "batchnorm": lambda r: [nk.batchnorm(_leaf(r, 4, 3), nk.BatchNormParams(3), mode)
+                            for mode in ("train", "eval")],
+    "_attend_many": lambda r: nk._attend_many(_leaf(r, 2, 3, 4), _leaf(r, 2, 5, 4),
+                                              _leaf(r, 2, 5, 4), 2),
+    "_attend_one": lambda r: [nk._attend_one(_leaf(r, 2, 1, 4), _leaf(r, 2, 5, 4),
+                                             _leaf(r, 2, 5, 4), 2),
+                              nk._attend_one(_leaf(r, 3, 1, 4), _leaf(r, 2, 5, 4),
+                                             _leaf(r, 2, 5, 4), 2, [2, 0, 2, 1], [1, 1, 0, 0])],
+}
+
+# what a backward closure may hold: nodes, arrays, shapes, indices and scalars
+_PLAIN = (nk.Node, np.ndarray, np.generic, int, float, str, slice, type(None))
+
+
+def _closure_values(fn, path):
+    """(path, value) of everything fn's closure holds, through the tuples,
+    lists and nested functions in it."""
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        stack = [(f"{path}.{name}", cell.cell_contents)]
+        while stack:
+            where, value = stack.pop()
+            if isinstance(value, (tuple, list)):
+                stack.extend((f"{where}[{i}]", item) for i, item in enumerate(value))
+            elif inspect.isfunction(value):
+                yield from _closure_values(value, where)
+            else:
+                yield where, value
+
+
+class TestTapeHoldsNodes:
+    def test_every_op_is_built(self):
+        ops = {name for name, fn in vars(nk).items()
+               if inspect.isfunction(fn) and name != "_make" and "_make(" in inspect.getsource(fn)}
+        assert ops == set(OP_BUILDERS)
+
+    @pytest.mark.parametrize("op", sorted(OP_BUILDERS))
+    def test_no_closure_holds_a_tensor(self, op):
+        # a closure that held an input Tensor would keep that input's array
+        # alive until the replay, whether or not the backward reads it
+        with nk.Tape() as tape:
+            OP_BUILDERS[op](np.random.default_rng(50))
+        assert tape.nodes and all(isinstance(node, nk.Node) for node in tape.nodes)
+        for node in tape.nodes:
+            held = list(_closure_values(node._backward, op))
+            assert held
+            bad = [(where, type(value).__name__) for where, value in held
+                   if not isinstance(value, _PLAIN)]
+            assert not bad, bad
+
+    def test_unread_outputs_die_and_backward_leaves_the_leaf_grads(self, monkeypatch):
+        # default comparator at the default shape (D=64, T=4), 256 pairs: the
+        # embedding's concat, the self-attention output projection and the
+        # head's first linear are read by no backward, so they die with the
+        # forward; after the replay only the leaf grads are left of the step
+        model = ComparatorModel(ComparatorConfig(depth=64, tokens=4), seed=0)
+        grids, at1, at2, y = _pair_batch(np.random.default_rng(37), records=320, pairs=256)
+        _train_step(model, grids, at1, at2, y)  # one-time allocations happen here
+        for _, t in model.parameters():
+            t.grad = None
+        watched, real_concat, real_linear = {}, nk.concat, nk.linear
+
+        def watch(name, out):
+            arrays = (out.data, out.data.base)
+            watched.setdefault(name, [weakref.ref(a) for a in arrays if a is not None])
+            return out
+
+        def concat(tensors, axis):
+            return watch("embedding concat", real_concat(tensors, axis))
+
+        def linear(x, w, b):
+            out = real_linear(x, w, b)
+            if w is model.self_attn[0][0].wo:
+                watch("self-attention output projection", out)
+            if w is model.mlp_w[0]:
+                watch("head's first linear", out)
+            return out
+
+        monkeypatch.setattr(nk, "concat", concat)
+        monkeypatch.setattr(nk, "linear", linear)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with nk.Tape() as tape:
+                loss = nk.bce_with_logits(model.pair_logits(model.records(grids), at1, at2,
+                                                            "train"), y)
+            assert len(watched) == 3
+            alive = [name for name, refs in watched.items() if any(r() is not None for r in refs)]
+            assert not alive
+            nk.backward(tape, loss)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        grads = sum(t.grad.nbytes for _, t in model.parameters())
+        assert grads <= after - before <= grads + (64 << 10), (after - before, grads)
 
 
 class TestBce:
